@@ -1,20 +1,34 @@
 """Change of basis between stable-pairs series and integer BPS vectors.
 
-A pairs series of genus g is an integer combination of the basis elements
+Every basis the package decomposes over has one shape: element r is
 
-    B_0 = q / (1 + q)^2,    B_r = q^(1-r) (1 + q)^(2r-2)   for r >= 1,
+    x^(c - r) (1 + s x)^(2r + m),    r = 0 .. top,
 
-with multiplicities n_0 .. n_g.  B_r has lowest exponent 1 - r with unit
-leading coefficient, so the decomposition is a triangular peel starting
-at q^(1-g).  The module also validates the three defining identities of
-that basis and decomposes Hilbert-scheme generating series over the
-unsigned basis q^(g-r) (1 - q)^(2r-2).
+with lowest exponent c - r and unit leading coefficient.  A series in the
+span is therefore recovered by one triangular peel that runs the elements
+from r = top down to 0, and rebuilt by the same table run forwards:
+
+    basis     variable  c      s    m              element r
+    pairs     q         1      +1   -2             q^(1-r) (1+q)^(2r-2)
+    Hilbert   q         g      -1   -2             q^(g-r) (1-q)^(2r-2)
+    punctual  q         delta  +1   -2 delta - mu  q^(delta-r) (1+q)^(2r-2delta-mu)
+    KKV       z         0      -1   0              z^(-r) (1-z)^(2r) = (z-2+z^-1)^r
+
+The pairs basis carries the BPS multiplicities n_0 .. n_g of a genus-g
+pairs series; the Hilbert basis decomposes Hilbert-scheme generating
+series; the punctual basis is read on the q-negated punctual series of a
+planar germ; the KKV kernels turn the K3 product into r_(g,h) = (-1)^g n_g.
+
+A negative power 2r + m is an infinite series that the binomial
+recurrence expands up to the window's end, so the r = 0 elements
+B_0 = q (1+q)^-2 and q^g (1-q)^-2 = sum (k+1) q^(g+k) are no special case.
+The module also validates the three defining identities of the pairs
+basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
 from .series import TruncSeries
@@ -70,20 +84,68 @@ class PairsSeries:
             raise InputError(f"bad pairs-series JSON: {exc}") from None
 
 
+_PAIRS = (1, 1, -2)  # (c, s, m) of the pairs basis
+
+
+def _add_element(acc: list, i: int, coef: int, p: int, s: int) -> None:
+    """acc[i + k] += coef * C(p, k) s^k: coef times (1 + s x)^p placed at
+    index i, through the end of acc (or through k = p when p >= 0)."""
+    top = len(acc) - 1 - i
+    if 0 <= p < top:
+        top = p
+    acc[i] += coef
+    b = coef
+    for k in range(1, top + 1):
+        b = b * ((p - k + 1) * s) // k
+        acc[i + k] += b
+
+
+def _basis_sum(n, order: int, c: int, s: int, m: int) -> TruncSeries:
+    """sum n_r x^(c-r) (1 + s x)^(2r+m) over r = 0 .. top = len(n) - 1,
+    exact on [c - top, order]."""
+    lo = min(c - len(n) + 1, order + 1)
+    acc = [0] * (order - lo + 1)
+    for r, nr in enumerate(n):
+        i = c - r - lo
+        if nr and i < len(acc):
+            _add_element(acc, i, nr, 2 * r + m, s)
+    return TruncSeries._raw(lo, acc, order)
+
+
+def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
+    """Peel n_top .. n_0 over x^(c-r) (1 + s x)^(2r+m) off the series.
+
+    Returns (n, residual, base): the residual is dense over [base, order],
+    where base = min(series.min_exp, c - top).  The window must reach c.
+    """
+    base = min(series.min_exp, c - top)
+    res = [0] * (series.order - base + 1)
+    res[series.min_exp - base:] = series.coeff_list()
+    n = [0] * (top + 1)
+    for r in range(top, -1, -1):
+        i = c - r - base
+        nr = n[r] = res[i]
+        if nr:
+            _add_element(res, i, -nr, 2 * r + m, s)
+    return n, res, base
+
+
+def _reject_residual(res: list, base: int, basis: str) -> None:
+    """Raise NotBpsForm at the lowest exponent the peel left nonzero."""
+    for i, c in enumerate(res):
+        if c:
+            raise NotBpsForm(
+                f"residual coefficient {c} at q^{base + i} is not generated "
+                f"by the {basis} basis",
+                exponent=base + i,
+            )
+
+
 def pairs_basis_element(r: int, order: int) -> TruncSeries:
-    """B_r truncated to `order`: q(1+q)^-2 for r = 0, else q^(1-r)(1+q)^(2r-2)."""
+    """B_r = q^(1-r) (1+q)^(2r-2) truncated to `order`; B_0 = q (1+q)^-2."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    if r == 0:
-        terms = {k: (-1) ** (k - 1) * k for k in range(1, order + 1)}
-        return TruncSeries.from_terms(terms, order=order, min_exp=min(1, order + 1))
-    terms = {}
-    for k in range(2 * r - 1):
-        e = 1 - r + k
-        if e > order:
-            break
-        terms[e] = comb(2 * r - 2, k)
-    return TruncSeries.from_terms(terms, order=order, min_exp=1 - r)
+    return _basis_sum((0,) * r + (1,), order, *_PAIRS)
 
 
 def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
@@ -91,57 +153,18 @@ def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
     g = v.g
     if order < 1 - g:
         raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
-    lo = 1 - g
-    acc = [0] * (order - lo + 1)
-    for r in range(g + 1):
-        nr = v[r]
-        if not nr:
-            continue
-        if r == 0:
-            for k in range(1, order + 1):
-                acc[k - lo] += nr * (-1) ** (k - 1) * k
-        else:
-            for k in range(2 * r - 1):
-                e = 1 - r + k
-                if e > order:
-                    break
-                acc[e - lo] += nr * comb(2 * r - 2, k)
-    return PairsSeries(TruncSeries(lo, acc, order), g)
+    return PairsSeries(_basis_sum(v.n, order, *_PAIRS), g)
 
 
-def _peel(series: TruncSeries, g: int):
-    """Triangular peel of n_g .. n_0 off the dense residual.
-
-    Returns (n, residual, base) where residual is the dense remainder over
-    exponents [base, series.order].  Callers decide what to do with a
-    nonzero residual.
-    """
+def _pairs_peel(series: TruncSeries, g: int):
+    """Peel of n_g .. n_0 over the pairs basis; callers decide what to do
+    with a nonzero residual."""
     if series.order < 1:
         raise InsufficientWindow(
             f"decomposition to genus {g} needs the window to reach q^1 "
             f"(order is {series.order}); {g + 1} leading coefficients are required"
         )
-    base = min(series.min_exp, 1 - g)
-    order = series.order
-    res = [0] * (order - base + 1)
-    for e, c in series.items():
-        res[e - base] = c
-    n = [0] * (g + 1)
-    for r in range(g, -1, -1):
-        nr = res[(1 - r) - base]
-        n[r] = nr
-        if not nr:
-            continue
-        if r == 0:
-            for k in range(1, order + 1):
-                res[k - base] -= nr * (-1) ** (k - 1) * k
-        else:
-            for k in range(2 * r - 1):
-                e = 1 - r + k
-                if e > order:
-                    break
-                res[e - base] -= nr * comb(2 * r - 2, k)
-    return n, res, base
+    return _basis_peel(series, g, *_PAIRS)
 
 
 def bps_decompose(Z: PairsSeries) -> BpsVector:
@@ -150,14 +173,8 @@ def bps_decompose(Z: PairsSeries) -> BpsVector:
     Raises NotBpsForm if any residual coefficient survives the peel, and
     InsufficientWindow if the window stops short of q^1.
     """
-    n, res, base = _peel(Z.series, Z.g)
-    for i, c in enumerate(res):
-        if c:
-            raise NotBpsForm(
-                f"residual coefficient {c} at q^{base + i} is not generated "
-                f"by the genus-{Z.g} basis",
-                exponent=base + i,
-            )
+    n, res, base = _pairs_peel(Z.series, Z.g)
+    _reject_residual(res, base, f"genus-{Z.g}")
     return BpsVector(Z.g, tuple(n))
 
 
@@ -211,7 +228,7 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
     InsufficientWindow.
     """
     s, g = Z.series, Z.g
-    n, _res, _base = _peel(s, g)
+    n, _res, _base = _pairs_peel(s, g)
     N = n[0]
 
     fail_0 = None
@@ -251,16 +268,9 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
 
 def hilbert_basis_element(r: int, g: int, order: int) -> TruncSeries:
     """q^(g-r) (1-q)^(2r-2) truncated to `order`."""
-    if r == 0:
-        terms = {g + k: k + 1 for k in range(order - g + 1)}
-    else:
-        terms = {}
-        for k in range(2 * r - 1):
-            e = g - r + k
-            if e > order:
-                break
-            terms[e] = (-1) ** k * comb(2 * r - 2, k)
-    return TruncSeries.from_terms(terms, order=order, min_exp=g - r)
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    return _basis_sum((0,) * r + (1,), order, g, -1, -2)
 
 
 def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
@@ -277,31 +287,6 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
             f"genus-{g} Hilbert decomposition needs the window to reach q^{g + 1} "
             f"(order is {H.order})"
         )
-    base = min(H.min_exp, 0)
-    order = H.order
-    res = [0] * (order - base + 1)
-    for e, c in H.items():
-        res[e - base] = c
-    n = [0] * (g + 1)
-    for r in range(g, -1, -1):
-        nr = res[(g - r) - base]
-        n[r] = nr
-        if not nr:
-            continue
-        if r == 0:
-            for k in range(order - g + 1):
-                res[(g + k) - base] -= nr * (k + 1)
-        else:
-            for k in range(2 * r - 1):
-                e = g - r + k
-                if e > order:
-                    break
-                res[e - base] -= nr * (-1) ** k * comb(2 * r - 2, k)
-    for i, c in enumerate(res):
-        if c:
-            raise NotBpsForm(
-                f"residual coefficient {c} at q^{base + i} is not generated "
-                f"by the genus-{g} Hilbert basis",
-                exponent=base + i,
-            )
+    n, res, base = _basis_peel(H, g, g, -1, -2)
+    _reject_residual(res, base, f"genus-{g} Hilbert")
     return BpsVector(g, tuple(n))

@@ -13,8 +13,8 @@ from itertools import combinations
 from math import comb
 from typing import Mapping
 
-from .bps import BpsVector, PairsSeries, pairs_basis_element
-from .errors import InputError, InsufficientWindow, MilnorMismatch, NotBpsForm
+from .bps import BpsVector, PairsSeries, _basis_peel, _reject_residual, pairs_basis_element
+from .errors import InputError, InsufficientWindow, MilnorMismatch
 from .series import TruncSeries, binom_pow, q_negate
 
 
@@ -190,23 +190,8 @@ def q_series_decompose(germ: SingularityGerm) -> list[int]:
             f"delta = {d} needs {d + 2} exact coefficients (through q^{d + 1}); "
             f"window stops at q^{order}"
         )
-    res = signed.coeff_list()
-    base = signed.min_exp
-    n = [0] * (d + 1)
-    for r in range(d, -1, -1):
-        nr = res[(d - r) - base]
-        n[r] = nr
-        if nr:
-            elem = binom_pow(2 * r - 2 * d - mu, "plus", order - (d - r)).shift(d - r)
-            for e, c in elem.items():
-                res[e - base] -= nr * c
-    for i, c in enumerate(res):
-        if c:
-            raise NotBpsForm(
-                f"residual coefficient {c} at q^{base + i} is not generated "
-                f"by the delta = {d} punctual basis",
-                exponent=base + i,
-            )
+    n, res, base = _basis_peel(signed, d, d, 1, -2 * d - mu)
+    _reject_residual(res, base, f"delta = {d} punctual")
     return n
 
 

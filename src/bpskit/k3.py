@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass
 
 from . import kernels
+from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow, NotKkvForm
 from .series import BiSeries, LaurentPoly, TruncSeries, _expand_product, eta_power
 
@@ -129,20 +130,14 @@ def kkv_product(h_max: int) -> BiSeries:
     return _expand_product([(a, e, 1) for a, e in KKV_FACTORS], h_max)
 
 
-_KERNEL = LaurentPoly({1: 1, 0: -2, -1: 1})  # (z^(1/2) - z^(-1/2))^2
-
-
 def kkv_decompose(B: BiSeries) -> KkvTable:
     """Peel each q^h coefficient over the genus kernels (z - 2 + z^-1)^g.
 
     The coefficient must be symmetric under z <-> z^-1 with support in
-    [-h, h] (AsymmetricInput otherwise); the peel runs from the top
-    z-degree down and must terminate exactly (NotKkvForm otherwise).
+    [-h, h] (AsymmetricInput otherwise); the peel runs from the top genus
+    down and must terminate exactly (NotKkvForm otherwise).
     """
     h_max = B.order_q
-    powers = [LaurentPoly({0: 1})]
-    for _ in range(h_max):
-        powers.append(powers[-1] * _KERNEL)
     rows = {}
     for h in range(h_max + 1):
         p = B.coeff(h)
@@ -152,15 +147,15 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
             raise AsymmetricInput(
                 f"q^{h} coefficient has z-support up to {p.max_exp}, beyond [{-h}, {h}]"
             )
+        dense = TruncSeries._raw(-h, [p.coeff(e) for e in range(-h, h + 1)], h)
+        n, res, base = _basis_peel(dense, h, 0, -1, 0)
         for g in range(h, -1, -1):
-            rgh = p.coeff(g) if g % 2 == 0 else -p.coeff(g)
-            rows[(g, h)] = rgh
-            if rgh:
-                p = p - powers[g].scale(rgh if g % 2 == 0 else -rgh)
-        if p:
+            rows[(g, h)] = -n[g] if g % 2 else n[g]
+        if any(res):
+            top = max(e for e, c in enumerate(res, base) if c)
             raise NotKkvForm(
                 f"q^{h} coefficient leaves a nonzero remainder of z-degree "
-                f"{p.max_exp} after the genus peel",
+                f"{top} after the genus peel",
                 h=h,
             )
     return KkvTable(h_max, rows)

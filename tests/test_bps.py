@@ -197,11 +197,14 @@ class TestHilbert:
         assert hilbert_basis_element(2, 2, 6) == TruncSeries.from_terms(
             {0: 1, 1: -2, 2: 1}, order=6
         )
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            hilbert_basis_element(-1, 2, 5)
 
     def test_residual_rejected(self):
         H = TruncSeries.from_terms({0: 1, 3: 5}, order=4)
-        with pytest.raises(NotBpsForm):
+        with pytest.raises(NotBpsForm) as exc:
             hilbert_decompose(H, 1)
+        assert exc.value.exponent == 3
 
     def test_window_needs_g_plus_one_steps(self):
         with pytest.raises(InsufficientWindow):

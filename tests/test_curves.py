@@ -169,8 +169,9 @@ class TestGerms:
 
     def test_residual_rejected(self):
         bad = SingularityGerm(1, 0, TruncSeries(0, [1, 1, 1, 1, 1], 4))
-        with pytest.raises(NotBpsForm):
+        with pytest.raises(NotBpsForm) as exc:
             q_series_decompose(bad)
+        assert exc.value.exponent == 2
 
     def test_constant_term_must_be_one(self):
         with pytest.raises(ValueError):
