@@ -270,6 +270,8 @@ def hilbert_basis_element(r: int, g: int, order: int) -> TruncSeries:
     """q^(g-r) (1-q)^(2r-2) truncated to `order`."""
     if r < 0:
         raise ValueError("r must be non-negative")
+    if g < 0:
+        raise ValueError("g must be non-negative")
     return _basis_sum((0,) * r + (1,), order, g, -1, -2)
 
 

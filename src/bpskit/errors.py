@@ -52,7 +52,11 @@ class NotBpsForm(ValidationError):
 
 
 class NotKkvForm(ValidationError):
-    """A coefficient is not an integer combination of the genus kernels."""
+    """A coefficient is not an integer combination of the genus kernels.
+
+    Kept for the public API: every row that passes kkv_decompose's
+    AsymmetricInput checks peels exactly, so kkv_decompose never raises it.
+    """
 
     def __init__(self, message, h=None):
         super().__init__(message)

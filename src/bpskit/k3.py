@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .bps import _basis_peel
-from .errors import AsymmetricInput, InputError, InsufficientWindow, NotKkvForm
+from .errors import AsymmetricInput, InputError, InsufficientWindow
 from .series import BiSeries, LaurentPoly, TruncSeries, _expand_product, eta_power
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the engine behind both
@@ -135,7 +135,9 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
 
     The coefficient must be symmetric under z <-> z^-1 with support in
     [-h, h] (AsymmetricInput otherwise); the peel runs from the top genus
-    down and must terminate exactly (NotKkvForm otherwise).
+    down and always terminates exactly, because the kernels
+    z^-g (1-z)^(2g), g = 0..h, are symmetric and unitriangular on that
+    lattice, so a residual that vanishes at exponents <= 0 vanishes.
     """
     h_max = B.order_q
     rows = {}
@@ -148,16 +150,9 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
                 f"q^{h} coefficient has z-support up to {p.max_exp}, beyond [{-h}, {h}]"
             )
         dense = TruncSeries._raw(-h, [p.coeff(e) for e in range(-h, h + 1)], h)
-        n, res, base = _basis_peel(dense, h, 0, -1, 0)
+        n = _basis_peel(dense, h, 0, -1, 0)[0]
         for g in range(h, -1, -1):
             rows[(g, h)] = -n[g] if g % 2 else n[g]
-        if any(res):
-            top = max(e for e, c in enumerate(res, base) if c)
-            raise NotKkvForm(
-                f"q^{h} coefficient leaves a nonzero remainder of z-degree "
-                f"{top} after the genus peel",
-                h=h,
-            )
     return KkvTable(h_max, rows)
 
 

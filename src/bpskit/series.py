@@ -530,25 +530,6 @@ def involution_check(p: LaurentPoly) -> bool:
     return p.is_symmetric()
 
 
-def _univariate_product(factors3, order_q: int) -> list[int]:
-    """Dense coefficients of prod_n prod_(0,e,c) (1 - c*q^n)^e over [0, order_q]."""
-    acc = [0] * (order_q + 1)
-    acc[0] = 1
-    grouped: dict[int, int] = {}
-    for _a, e, c in factors3:
-        grouped[c] = grouped.get(c, 0) + e
-    for n in range(1, order_q + 1):
-        top = order_q // n
-        offsets = list(range(n, order_q + 1, n))
-        for c, e_total in grouped.items():
-            if not e_total:
-                continue
-            base = _one_minus_x_pow(e_total, top)
-            coeffs = [base[k] * (c ** k) for k in range(1, top + 1)]
-            kernels.mul_sparse_unit_inplace(acc, offsets, coeffs)
-    return acc
-
-
 def _expand_product(factors3, order_q: int) -> BiSeries:
     """Expand prod_{n=1..order_q} prod_{(a,e,c)} (1 - c z^a q^n)^e through q**order_q.
 
@@ -562,8 +543,8 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
         if c not in (1, -1):
             raise ValueError("factor coefficient must be +1 or -1")
     amax = max((abs(a) for a, _e, _c in factors3), default=0)
-    if amax == 0:
-        acc = _univariate_product(factors3, order_q)
+    if amax == 0 and all(c == 1 for _a, _e, c in factors3):
+        acc = eta_power(sum(e for _a, e, _c in factors3), order_q).coeff_list()
         return BiSeries(LaurentPoly({0: v}) for v in acc)
 
     width = 2 * amax * order_q + 1
@@ -601,8 +582,42 @@ def product_family(factors, order_q: int) -> BiSeries:
 
 
 def eta_power(e: int, order: int) -> TruncSeries:
-    """prod_{n>=1} (1 - q^n)**e, exact on [0, order]."""
+    """prod_{n>=1} (1 - q^n)**e, exact on [0, order].
+
+    Euler's pentagonal theorem gives f = prod (1 - q^n) as
+    sum_m (-1)^m q^(m(3m-1)/2) over all integers m: O(sqrt(order)) terms,
+    each +1 or -1.  J.C.P. Miller's power recurrence (Knuth, TAOCP
+    vol. 2, sec. 4.7) then gives a = f**e from
+
+        n a_n = sum_{k>=1, f_k != 0} ((e+1) k - n) f_k a_(n-k),
+
+    so a_n costs O(sqrt(n)) and the whole series O(order**1.5).  Every
+    division by n is exact; a remainder raises ArithmeticError.
+    """
+    e = _as_int(e, "exponent")
     if order < 0:
         raise ValueError("order must be non-negative")
-    acc = _univariate_product([(0, e, 1)], order)
-    return TruncSeries._raw(0, acc, order)
+    plus, minus = [], []  # (k, (e+1) k) for each k >= 1 with f_k = +1 / -1
+    m = 1
+    while (k := m * (3 * m - 1) // 2) <= order:
+        side = minus if m % 2 else plus
+        side.append((k, (e + 1) * k))
+        if k + m <= order:
+            side.append((k + m, (e + 1) * (k + m)))
+        m += 1
+    a = [1] + [0] * order
+    ip = im = 0
+    for n in range(1, order + 1):
+        while ip < len(plus) and plus[ip][0] <= n:
+            ip += 1
+        while im < len(minus) and minus[im][0] <= n:
+            im += 1
+        s = (sum([(ek - n) * a[n - k] for k, ek in plus[:ip]])
+             - sum([(ek - n) * a[n - k] for k, ek in minus[:im]]))
+        a[n], r = divmod(s, n)
+        if r:
+            raise ArithmeticError(
+                f"eta_power({e}, {order}): Miller's recurrence left remainder "
+                f"{r} at q^{n}"
+            )
+    return TruncSeries._raw(0, a, order)

@@ -20,6 +20,21 @@ def naive_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return TruncSeries(lo, [out.get(e, 0) for e in range(lo, hi + 1)], hi)
 
 
+def eta_power_sigma(e: int, order: int) -> list[int]:
+    """Coefficients of prod (1 - q^n)^e through q^order from the divisor-sum
+    recurrence n a_n = -e sum_{k=1..n} sigma(k) a_(n-k), written
+    independently of the pentagonal series and Miller's recurrence."""
+    sigma = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for m in range(d, order + 1, d):
+            sigma[m] += d
+    a = [1] + [0] * order
+    for n in range(1, order + 1):
+        a[n], r = divmod(-e * sum(sigma[k] * a[n - k] for k in range(1, n + 1)), n)
+        assert r == 0
+    return a
+
+
 @st.composite
 def trunc_series(draw, min_exp=st.integers(-5, 5), size=st.integers(0, 9),
                  coeff=st.integers(-9, 9)):

@@ -199,6 +199,8 @@ class TestHilbert:
         )
         with pytest.raises(ValueError, match="r must be non-negative"):
             hilbert_basis_element(-1, 2, 5)
+        with pytest.raises(ValueError, match="g must be non-negative"):
+            hilbert_basis_element(0, -2, 3)
 
     def test_residual_rejected(self):
         H = TruncSeries.from_terms({0: 1, 3: 5}, order=4)

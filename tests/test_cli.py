@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: every verb, the exit-code contract, and
 byte-determinism of the JSON output."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -207,6 +208,21 @@ class TestExitCodes:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("series", "eta", "--order", "1200", "--exponent", "-24"),
+             "48bcb427db624378f27c480046d7a5a404f73d71730a9700ed59ad7a29add4e5"),
+            (("k3", "yz", "--hmax", "800", "--format", "csv"),
+             "830690dc7f9cced38eb79dad28baea6bdcf7785e6e4f9363c1d0c5a01ffe6736"),
+        ],
+    )
+    def test_pinned_output_bytes(self, capsys, argv, digest):
+        # digests recorded from the factor-at-a-time product engine
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_identical_runs_identical_bytes(self, capsys):
         _, out1, _ = cli(capsys, "k3", "kkv", "--hmax", "3")
         _, out2, _ = cli(capsys, "k3", "kkv", "--hmax", "3")

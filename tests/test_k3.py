@@ -135,18 +135,27 @@ class TestKkvDecompose:
     def test_peel_inverts_kernel_expansion(self, data):
         h_max = data.draw(st.integers(0, 5))
         bound = data.draw(st.sampled_from([20, 10**30]))  # small and bignum rows
+        kernel = LaurentPoly({1: 1, 0: -2, -1: 1})
+
+        def expand(value, h):
+            # sum_g r_(g,h) (-1)^g (z - 2 + z^-1)^g
+            acc = LaurentPoly({})
+            for g in range(h + 1):
+                r = value(g, h)
+                acc = acc + (kernel ** g).scale(r if g % 2 == 0 else -r)
+            return acc
+
+        # a genus table expanded over the kernels peels back to itself
+        table = {(g, h): data.draw(st.integers(-bound, bound))
+                 for h in range(h_max + 1) for g in range(h + 1)}
+        t = kkv_decompose(BiSeries(expand(lambda g, h: table[g, h], h)
+                                   for h in range(h_max + 1)))
+        assert all(t.value(g, h) == r for (g, h), r in table.items())
+
+        # any symmetric row supported in [-h, h] peels exactly: no NotKkvForm
         rows = [data.draw(symmetric_rows(h, bound=bound)) for h in range(h_max + 1)]
         t = kkv_decompose(BiSeries(rows))
-        kernel = LaurentPoly({1: 1, 0: -2, -1: 1})
-        for h in range(h_max + 1):
-            acc = LaurentPoly({})
-            power = LaurentPoly({0: 1})
-            for g in range(h + 1):
-                r = t.value(g, h)
-                if r:
-                    acc = acc + power.scale(r if g % 2 == 0 else -r)
-                power = power * kernel
-            assert acc == rows[h]
+        assert [expand(t.value, h) for h in range(h_max + 1)] == rows
 
 
 class TestKkvTable:

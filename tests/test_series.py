@@ -20,7 +20,19 @@ from bpskit import (
     series_arith,
     series_inverse,
 )
-from conftest import laurent_terms, naive_mul, trunc_series, unit_series
+from bpskit.series import _expand_product
+from conftest import eta_power_sigma, laurent_terms, naive_mul, trunc_series, unit_series
+
+
+def factorwise_product(c, order):
+    """prod (1 - c q^n)^-2 by expanding each factor separately."""
+    acc = TruncSeries.one(order)
+    for n in range(1, order + 1):
+        acc = acc * TruncSeries.from_terms(
+            {n * k: c**k * (k + 1) for k in range(order // n + 1)},
+            order=order,
+        )
+    return acc.coeff_list()
 
 
 class TestLaurentPoly:
@@ -258,6 +270,28 @@ class TestProducts:
         prod = eta_power(5, 15) * eta_power(-5, 15)
         assert prod == TruncSeries.one(15)
 
+    @given(st.integers(-60, 60), st.integers(0, 150))
+    @settings(max_examples=60, deadline=None)
+    def test_eta_matches_sigma_recurrence(self, e, order):
+        assert eta_power(e, order).coeff_list() == eta_power_sigma(e, order)
+
+    def test_eta_bignum_exponent_matches_sigma_recurrence(self):
+        assert eta_power(10**30, 60).coeff_list() == eta_power_sigma(10**30, 60)
+
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_eta_is_multiplicative(self, a, b, order):
+        assert eta_power(a, order) * eta_power(b, order) == eta_power(a + b, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 100])
+    def test_eta_zero_exponent_is_one(self, order):
+        assert eta_power(0, order) == TruncSeries.one(order)
+
+    @pytest.mark.parametrize("e", [1.5, True, "2"])
+    def test_eta_rejects_non_int_exponent(self, e):
+        with pytest.raises(TypeError):
+            eta_power(e, 5)
+
     def test_degree_bound(self):
         B = product_family([(1, -2), (-1, -2), (0, -20)], 9)
         for h in range(10):
@@ -283,16 +317,18 @@ class TestProducts:
         assert all(B.coeff(h).involution() == C.coeff(h) for h in range(7))
 
     def test_product_matches_factorwise_series_mul(self):
-        # univariate cross-check: expand each (1 - q^n)^-2 separately
         order = 10
-        acc = TruncSeries.one(order)
-        for n in range(1, order + 1):
-            factor = TruncSeries.from_terms(
-                {n * k: k + 1 for k in range(order // n + 1)}, order=order
-            )
-            acc = acc * factor
         B = product_family([(0, -2)], order)
-        assert acc.coeff_list() == [B.coeff(h).coeff(0) for h in range(order + 1)]
+        row = [B.coeff(h).coeff(0) for h in range(order + 1)]
+        assert row == factorwise_product(1, order)
+
+    def test_minus_sign_factor_matches_factorwise_series_mul(self):
+        # (1 + q^n)^-2 leaves the eta_power path for the general product loop
+        order = 10
+        B = _expand_product([(0, -2, -1)], order)
+        row = [B.coeff(h).coeff(0) for h in range(order + 1)]
+        assert row == factorwise_product(-1, order)
+        assert row[:7] == [1, -2, 1, -2, 4, -4, 5]
 
     def test_biseries_window_enforced(self):
         B = product_family([(0, -1)], 4)
