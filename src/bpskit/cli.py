@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 a validation or identity failure (the input is
 well-formed but the mathematics rejects it); 2 malformed input; 3 a
-precondition failure such as a window that is too short.
+precondition failure such as a window that is too short; 70 an internal
+error (a bug), reported with its traceback.
 
 All JSON output is emitted with sorted keys so identical inputs give
 byte-identical bytes.
@@ -26,7 +27,7 @@ from .curves import (
     stratify_pairs_series,
 )
 from .errors import InputError, PreconditionError, ValidationError
-from .k3 import kkv_decompose, kkv_product, ky_series, signed_conversion_check, yau_zaslow
+from .k3 import _kkv_table, ky_series, signed_conversion_check, yau_zaslow
 from .series import TruncSeries, eta_power
 
 
@@ -167,7 +168,7 @@ def _cmd_k3_ky(args):
 
 
 def _cmd_k3_kkv(args):
-    table = kkv_decompose(kkv_product(args.hmax))
+    table = _kkv_table(args.hmax)
     if args.format == "csv":
         with _Out(args.out) as f:
             table.write_csv(f)
@@ -316,6 +317,11 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only on this path: it adds to every start-up otherwise
+
+        traceback.print_exc()
+        return 70  # EX_SOFTWARE
 
 
 def main():

@@ -4,21 +4,149 @@ Three routes into the same numbers: the pair-count double series in
 (q, y), the symmetric product whose coefficients decompose over the
 genus kernels (z^(1/2) - z^(-1/2))^(2g), and the genus-zero row, which
 is the classical 1 / Delta count of rational curves.
+
+The two-variable products run on one theta engine.  With
+E = prod (1-q^n) and F = prod (1-q^n)(1-c z q^n)(1-c z^-1 q^n), c = +1
+or -1, the product behind the pair counts is E^-18 F^-2.  By the Jacobi
+triple product F is nonzero only at q^(m(m-1)/2), where its row is
+(-1)^(m-1) sum_{|j|<m} (c z)^j, so J.C.P. Miller's power recurrence
+computes F^-2 from O(sqrt(h)) rows per q-degree.  Each row is held as
+one Python int with b bits a slot (Kronecker substitution; Harvey,
+arXiv:0712.4046), so a row times a row is one big-int multiply.  The
+same code run with b = 0 evaluates every row at z = 1; those sums bound
+every coefficient, fix b and check each unpacked row.
+
+The genus table comes from the same engine on rows in
+t = z - 2 + z^-1, where r_(g,h) = (-1)^g [t^g q^h]: no peel runs.
+`kkv_decompose` remains the public peel for an arbitrary product.
+The pair counts and the alternating product of the signed check are
+the z-rows times y (1-y)^-2 and y (1+y)^-2, which is a shift and two
+running sums.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import comb
 
-from . import kernels
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow
-from .series import BiSeries, LaurentPoly, TruncSeries, _expand_product, eta_power
+from .series import BiSeries, LaurentPoly, TruncSeries, eta_power
 
-# (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the engine behind both
-# the pair counts and the genus decomposition.
+# (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
+# the pair counts and the genus decomposition; `product_family` expands
+# it factor by factor, the theta engine below from the triple product.
 KKV_FACTORS = ((0, -20), (1, -2), (-1, -2))
+
+
+def _theta_packed(h_max: int, c: int, t: bool, b: int) -> list[int]:
+    """Rows P_h of E^-18 F^-2 for h <= h_max, each packed into one int.
+
+    With t false, slot h + j (b bits each) of P_h holds [z^j] P_h; with
+    t true (c = +1 only) slot g holds [t^g] P_h for t = z - 2 + z^-1.
+    With b = 0 each row is its value at z = 1 (at t = 1 when t is true).
+    """
+    # (k, F_k, shift): F_k a_(n-k) << shift carries its z^0 slot at n
+    f = []
+    m = 2
+    while (k := m * (m - 1) // 2) <= h_max:
+        r = m - 1
+        if t:
+            # sum_{|j|<=r} z^j = sum_i (2r+1)/(r+i+1) C(r+i+1, 2i+1) t^i, and
+            # (2r+1)/(r+i+1) C(r+i+1, 2i+1) = C(r+i+1, 2i+1) + C(r+i, 2i+1)
+            row = sum((comb(r + i + 1, 2 * i + 1) + comb(r + i, 2 * i + 1)) << (b * i)
+                      for i in range(r + 1))
+            shift = 0
+        else:
+            row = sum((-1 if c < 0 and j % 2 else 1) << (b * (r + j))
+                      for j in range(-r, r + 1))
+            shift = b * (k - r)
+        f.append((k, row if m % 2 else -row, shift))
+        m += 1
+    # Miller's recurrence for a = F^-2: n a_n = sum_k (-k - n) F_k a_(n-k)
+    a = [1]
+    for n in range(1, h_max + 1):
+        s = sum([(-k - n) * fk * a[n - k] << shift for k, fk, shift in f if k <= n])
+        an, rem = divmod(s, n)
+        if rem:
+            raise ArithmeticError(
+                f"theta engine: Miller's recurrence left remainder {rem} at q^{n}"
+            )
+        a.append(an)
+    e = eta_power(-18, h_max).coeff_list()
+    step = 0 if t else b  # z-rows: a_(h-j) carries its z^0 slot at h - j
+    return [sum([e[j] * a[h - j] << (step * j) for j in range(h + 1)])
+            for h in range(h_max + 1)]
+
+
+def _unpack(packed: list[int], sums: list[int], nbytes: int, signed: bool,
+            t: bool) -> list[list[int]]:
+    """Slot lists of packed rows with nbytes bytes a slot.
+
+    Row h has h + 1 slots in t, 2h + 1 in z.  Signed slots hold values in
+    [-2^(b-1), 2^(b-1)).  The absolute values of each row must sum to its
+    b = 0 value in sums, with no bits left above the top slot, or
+    ArithmeticError names the row.  An unsigned row that overflowed a
+    slot always fails: each carry lowers the slot sum by 2^b - 1.
+    """
+    b = 8 * nbytes
+    half = 1 << (b - 1) if signed else 0
+    rows = []
+    for h, (p, want) in enumerate(zip(packed, sums)):
+        width = h + 1 if t else 2 * h + 1
+        if signed:  # bias every slot by 2^(b-1), so each biased slot is >= 0
+            p += int.from_bytes((bytes(nbytes - 1) + b"\x80") * width, "little")
+        raw = (p & ((1 << (b * width)) - 1)).to_bytes(nbytes * width, "little")
+        row = [int.from_bytes(raw[i:i + nbytes], "little") - half
+               for i in range(0, nbytes * width, nbytes)]
+        got = sum(map(abs, row))
+        if got != want or p >> (b * width):
+            raise ArithmeticError(
+                f"theta engine: q^{h} row does not fit {b}-bit slots: unpacked "
+                f"|coefficients| sum to {got}, the b = 0 run gives {want}"
+            )
+        rows.append(row)
+    return rows
+
+
+def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
+    """Dense rows of E^-18 F^-2: over z^-h .. z^h, or t^0 .. t^h if t.
+
+    Every coefficient at c = +1 is >= 0 (in t too, since
+    (1 - z q^n)(1 - z^-1 q^n) = (1 - q^n)^2 - t q^n), and c = -1 only
+    flips signs, so a row's b = 0 value bounds each of its coefficients.
+    """
+    sums = _theta_packed(h_max, 1, t, 0)
+    nbytes = (max(sums).bit_length() + (c < 0) + 7) // 8
+    return _unpack(_theta_packed(h_max, c, t, 8 * nbytes), sums, nbytes, c < 0, t)
+
+
+def _kkv_table(h_max: int) -> "KkvTable":
+    """Genus table r_(g,h) = (-1)^g [t^g q^h] E^-18 F^-2 through q^h_max."""
+    if h_max < 0:
+        raise ValueError("h_max must be non-negative")
+    rows = {}
+    for h, row in enumerate(_theta_rows(h_max, t=True)):
+        for g, v in enumerate(row):
+            rows[(g, h)] = -v if g % 2 else v
+    return KkvTable(h_max, rows)
+
+
+def _ky_rows(h_max: int, y_order: int, c: int) -> tuple[LaurentPoly, ...]:
+    """Rows of y (1 - c y)^-2 prod (1-q^n)^-20 (1 - c y q^n)^-2 (1 - c y^-1 q^n)^-2,
+    each exact on y-exponents [1-h, y_order]."""
+    out = []
+    for h, row in enumerate(_theta_rows(h_max, c)):
+        size = y_order + h  # y-exponents -h .. y_order - 1, before the shift by y
+        dense = (row + [0] * size)[:size]
+        for _ in range(2):  # divide by (1 - c y) twice
+            acc = 0
+            for i, v in enumerate(dense):
+                acc = v + c * acc
+                dense[i] = acc
+        out.append(LaurentPoly._raw({i + 1 - h: v for i, v in enumerate(dense) if v}))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -94,19 +222,6 @@ class K3PairsSeries:
         }
 
 
-def _pair_rows(prefactor: list[int], factors3, h_max: int, y_order: int):
-    """Rows of prefactor(y) * prod (1 - c y^a q^n)^e, each exact on
-    y-exponents [1-h, y_order]."""
-    prod = _expand_product(factors3, h_max)
-    rows = []
-    for h in range(h_max + 1):
-        p = prod.coeff(h)
-        dense = [p.coeff(e) for e in range(-h, h + 1)]
-        conv = kernels.mul_trunc(dense, prefactor, y_order + h + 1)
-        rows.append(LaurentPoly({i - h: c for i, c in enumerate(conv) if c}))
-    return tuple(rows)
-
-
 def ky_series(h_max: int, y_order: int) -> K3PairsSeries:
     """Double series of pair-moduli Euler characteristics for primitive
     classes of square 2h - 2 on a K3 surface.
@@ -118,16 +233,15 @@ def ky_series(h_max: int, y_order: int) -> K3PairsSeries:
         raise ValueError("h_max must be non-negative")
     if y_order < 1:
         raise ValueError("y_order must be at least 1")
-    pref = list(range(y_order + h_max + 1))  # y (1-y)^-2 = sum k y^k
-    rows = _pair_rows(pref, [(a, e, 1) for a, e in KKV_FACTORS], h_max, y_order)
-    return K3PairsSeries(rows, y_order)
+    return K3PairsSeries(_ky_rows(h_max, y_order, 1), y_order)
 
 
 def kkv_product(h_max: int) -> BiSeries:
     """prod_{n>=1} (1-q^n)^-20 (1-z q^n)^-2 (1-z^-1 q^n)^-2 through q^h_max."""
     if h_max < 0:
         raise ValueError("h_max must be non-negative")
-    return _expand_product([(a, e, 1) for a, e in KKV_FACTORS], h_max)
+    return BiSeries(LaurentPoly._raw({j - h: v for j, v in enumerate(row) if v})
+                    for h, row in enumerate(_theta_rows(h_max)))
 
 
 def kkv_decompose(B: BiSeries) -> KkvTable:
@@ -193,25 +307,18 @@ def signed_conversion_check(h_max: int, y_order: int, tamper=None) -> SignedChec
     guaranteed to be reported as that (h, n).
     """
     ky = ky_series(h_max, y_order)
-    signed_rows = []
-    for h in range(h_max + 1):
-        terms = dict(ky.rows[h].items())
-        if tamper and tamper[0] == h:
-            terms[tamper[1]] = terms.get(tamper[1], 0) + tamper[2]
-        signed_rows.append(
-            LaurentPoly({n: (c if n % 2 else -c) for n, c in terms.items()})
-        )
-
-    pref = [(-k if k % 2 == 0 else k) for k in range(y_order + h_max + 1)]  # y (1+y)^-2
-    alt = _pair_rows(pref, [(0, -20, 1), (1, -2, -1), (-1, -2, -1)], h_max, y_order)
-
+    alt = _ky_rows(h_max, y_order, -1)
     first = None
     for h in range(h_max + 1):
-        if first is not None:
-            break
-        got, want = signed_rows[h], alt[h]
+        got = dict(ky.rows[h].items())
+        if tamper and tamper[0] == h:
+            got[tamper[1]] = got.get(tamper[1], 0) + tamper[2]
+        want = alt[h]
         for n in range(1 - h, y_order + 1):
-            if got.coeff(n) != want.coeff(n):
+            c = got.get(n, 0)
+            if (c if n % 2 else -c) != want.coeff(n):
                 first = (h, n)
                 break
+        if first is not None:
+            break
     return SignedCheckReport(first is None, first, h_max, y_order)

@@ -538,7 +538,10 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
     """
     if order_q < 0:
         raise ValueError("order_q must be non-negative")
-    factors3 = [(int(a), int(e), int(c)) for a, e, c in factors3]
+    factors3 = [
+        (_as_int(a, "z-exponent"), _as_int(e, "exponent"), _as_int(c, "factor coefficient"))
+        for a, e, c in factors3
+    ]
     for _a, _e, c in factors3:
         if c not in (1, -1):
             raise ValueError("factor coefficient must be +1 or -1")

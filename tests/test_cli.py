@@ -206,6 +206,15 @@ class TestExitCodes:
                          "--order", "0")
         assert code == 3
 
+    def test_internal_error_is_software_error(self, capsys, monkeypatch):
+        def broken(e, order):
+            raise ArithmeticError("planted engine fault")
+
+        monkeypatch.setattr("bpskit.cli.eta_power", broken)
+        code, _, err = cli(capsys, "series", "eta", "--order", "10")
+        assert code == 70
+        assert "Traceback" in err and "planted engine fault" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -215,6 +224,14 @@ class TestDeterminism:
              "48bcb427db624378f27c480046d7a5a404f73d71730a9700ed59ad7a29add4e5"),
             (("k3", "yz", "--hmax", "800", "--format", "csv"),
              "830690dc7f9cced38eb79dad28baea6bdcf7785e6e4f9363c1d0c5a01ffe6736"),
+            (("k3", "kkv", "--hmax", "60"),
+             "5067b32b6a020201c4d63d65441be409ca140d217b17dbd86c2cc392455eae18"),
+            (("k3", "kkv", "--hmax", "59", "--format", "csv"),
+             "a399b1b7977b0ece122f5f4547e8b3fc70b400bf1c5a070d638e6b87eef85c6e"),
+            (("k3", "ky", "--hmax", "40", "--yorder", "600"),
+             "94d3d488a58dec6f29505c386b19c6e1c1c5b596e34188a82b8ed60b17d3de44"),
+            (("k3", "signed-check", "--hmax", "30", "--yorder", "300"),
+             "4e4808d8d6ea17d256ebe614a2ceb1694688ec3fd88da65f8a893a260216b1c4"),
         ],
     )
     def test_pinned_output_bytes(self, capsys, argv, digest):

@@ -21,6 +21,9 @@ from bpskit import (
     signed_conversion_check,
     yau_zaslow,
 )
+from bpskit import kernels, product_family
+from bpskit.k3 import KKV_FACTORS, _kkv_table, _ky_rows, _theta_packed, _theta_rows, _unpack
+from bpskit.series import _expand_product
 
 YZ_HEAD = [1, 24, 324, 3200, 25650, 176256, 1073720]
 
@@ -30,6 +33,20 @@ def symmetric_rows(draw, h, bound=20):
     # symmetric z-support in [-h, h]: draw the non-negative side
     side = [draw(st.integers(-bound, bound)) for _ in range(h + 1)]
     return LaurentPoly({e: c for k, c in enumerate(side) for e in {k, -k} if c})
+
+
+def pair_rows_by_factors(prefactor, factors3, h_max, y_order):
+    """Rows of prefactor(y) * prod (1 - c y^a q^n)^e on y-exponents
+    [1-h, y_order], from the factor-at-a-time product and the schoolbook
+    convolution: the route the theta engine replaced."""
+    prod = _expand_product(factors3, h_max)
+    rows = []
+    for h in range(h_max + 1):
+        p = prod.coeff(h)
+        dense = [p.coeff(e) for e in range(-h, h + 1)]
+        conv = kernels.mul_trunc(dense, prefactor, y_order + h + 1)
+        rows.append(LaurentPoly({i - h: c for i, c in enumerate(conv) if c}))
+    return tuple(rows)
 
 
 class TestYauZaslow:
@@ -97,6 +114,60 @@ class TestKkvProduct:
             row = B.coeff(h)
             assert row.is_symmetric()
             assert not row or (row.max_exp <= h and row.min_exp >= -h)
+
+
+class TestThetaEngine:
+    ORDER = 30
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return product_family(KKV_FACTORS, self.ORDER)
+
+    def test_z_rows_match_factorwise_product(self, oracle):
+        for h in range(self.ORDER + 1):
+            assert kkv_product(h).rows() == oracle.rows()[: h + 1]
+
+    def test_t_rows_match_peel(self, oracle):
+        want = kkv_decompose(oracle).rows
+        for h in range(self.ORDER + 1):
+            got = _kkv_table(h).rows
+            assert got == {(g, k): r for (g, k), r in want.items() if k <= h}
+
+    @pytest.mark.parametrize("h_max, y_order", [(0, 1), (3, 1), (6, 4), (12, 30), (20, 97)])
+    def test_pair_rows_match_factorwise_route(self, h_max, y_order):
+        pref_minus = list(range(y_order + h_max + 1))  # y (1-y)^-2
+        pref_plus = [(k if k % 2 else -k) for k in pref_minus]  # y (1+y)^-2
+        assert _ky_rows(h_max, y_order, 1) == pair_rows_by_factors(
+            pref_minus, [(a, e, 1) for a, e in KKV_FACTORS], h_max, y_order)
+        assert _ky_rows(h_max, y_order, -1) == pair_rows_by_factors(
+            pref_plus, [(0, -20, 1), (1, -2, -1), (-1, -2, -1)], h_max, y_order)
+
+    @pytest.mark.parametrize("c, t", [(1, False), (-1, False), (1, True)])
+    def test_narrow_slots_raise_and_never_return_a_wrong_row(self, c, t):
+        raised = 0
+        for h_max in range(41):
+            sums = _theta_packed(h_max, 1, t, 0)
+            nbytes = (max(sums).bit_length() + (c < 0) + 7) // 8
+            good = _theta_rows(h_max, c, t)
+            for narrow in range(1, nbytes):
+                try:
+                    rows = _unpack(_theta_packed(h_max, c, t, 8 * narrow), sums, narrow, c < 0, t)
+                except ArithmeticError as exc:
+                    assert "q^" in str(exc) and f"{8 * narrow}-bit" in str(exc)
+                    raised += 1
+                else:
+                    assert rows == good
+        assert raised > 100
+
+    def test_one_byte_short_names_the_row_and_both_sums(self):
+        sums = _theta_packed(58, 1, False, 0)
+        nbytes = (max(sums).bit_length() + 7) // 8
+        assert nbytes == 12
+        with pytest.raises(ArithmeticError) as info:
+            _unpack(_theta_packed(58, 1, False, 88), sums, 11, False, False)
+        assert str(info.value) == (
+            "theta engine: q^54 row does not fit 88-bit slots: unpacked |coefficients| "
+            f"sum to 1918314543435091429588704125, the b = 0 run gives {sums[54]}")
 
 
 class TestKkvDecompose:

@@ -338,3 +338,9 @@ class TestProducts:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             product_family([(0, -1)], -1)
+
+    @pytest.mark.parametrize("factors, order", [([(0, -1.9)], 5), ([(True, -1)], 2)])
+    def test_rejects_non_int_factors(self, factors, order):
+        # int() would read these as e = -1 and a = 1
+        with pytest.raises(TypeError):
+            product_family(factors, order)
