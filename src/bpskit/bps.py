@@ -28,23 +28,21 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import TruncSeries
+from .series import TruncSeries, _as_int, _json_int, _json_ints, _Record
 
 
-@dataclass(frozen=True)
-class BpsVector:
+class BpsVector(_Record):
     """Integer multiplicities n_0 .. n_g, lowest genus first."""
 
+    __slots__ = ("g", "n")
     g: int
     n: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.g < 0:
             raise ValueError("g must be non-negative")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(self, "n", tuple(_as_int(v) for v in self.n))
         if len(self.n) != self.g + 1:
             raise ValueError(f"genus {self.g} needs {self.g + 1} entries, got {len(self.n)}")
 
@@ -57,19 +55,19 @@ class BpsVector:
     @classmethod
     def from_json(cls, obj) -> "BpsVector":
         try:
-            return cls(int(obj["g"]), tuple(int(v) for v in obj["n"]))
+            return cls(_json_int(obj["g"], "g"), _json_ints(obj["n"], "n entry"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad BPS vector JSON: {exc}") from None
 
 
-@dataclass(frozen=True)
-class PairsSeries:
+class PairsSeries(_Record):
     """A truncated pairs series together with its declared genus."""
 
+    __slots__ = ("series", "g")
     series: TruncSeries
     g: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.g < 0:
             raise ValueError("g must be non-negative")
 
@@ -79,7 +77,7 @@ class PairsSeries:
     @classmethod
     def from_json(cls, obj) -> "PairsSeries":
         try:
-            return cls(TruncSeries.from_json(obj["series"]), int(obj["g"]))
+            return cls(TruncSeries.from_json(obj["series"]), _json_int(obj["g"], "g"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad pairs-series JSON: {exc}") from None
 
@@ -178,25 +176,26 @@ def bps_decompose(Z: PairsSeries) -> BpsVector:
     return BpsVector(Z.g, tuple(n))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     """Outcome of one defining identity over the checked window."""
 
+    __slots__ = ("passed", "first_fail_exponent")
+    _defaults = {"first_fail_exponent": None}
     passed: bool
-    first_fail_exponent: int | None = None
+    first_fail_exponent: int | None
 
     def to_json(self) -> dict:
         return {"pass": self.passed, "first_fail_exponent": self.first_fail_exponent}
 
 
-@dataclass(frozen=True)
-class GgtcReport:
+class GgtcReport(_Record):
     """Results of the three defining identities of the pairs basis.
 
     n0 is the candidate count peeled off the series; the identities are
     checked against it on every exponent the window certifies.
     """
 
+    __slots__ = ("passed", "identity_g0", "identity_gg", "identity_0", "checked_order", "n0")
     passed: bool
     identity_g0: IdentityCheck
     identity_gg: IdentityCheck
@@ -257,12 +256,12 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
         "identity_g0": IdentityCheck(fail_g0 is None, fail_g0),
     }
     return GgtcReport(
-        passed=all(c.passed for c in checks.values()),
-        identity_g0=checks["identity_g0"],
-        identity_gg=checks["identity_gg"],
-        identity_0=checks["identity_0"],
-        checked_order=s.order,
-        n0=N,
+        all(c.passed for c in checks.values()),
+        checks["identity_g0"],
+        checks["identity_gg"],
+        checks["identity_0"],
+        s.order,
+        N,
     )
 
 

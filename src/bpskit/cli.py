@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 
+from . import __version__
 from .bps import BpsVector, PairsSeries, bps_decompose, bps_recompose, hilbert_decompose, validate_ggtc
 from .curves import (
     NodalCurve,
@@ -214,6 +215,7 @@ def _add_io(p, fmt=False):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bpskit", description=__doc__.splitlines()[0])
+    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     groups = ap.add_subparsers(dest="group", required=True)
 
     bps = groups.add_parser("bps", help="BPS basis transform").add_subparsers(

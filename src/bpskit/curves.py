@@ -8,14 +8,13 @@ their punctual quotient schemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from itertools import combinations
 from math import comb
-from typing import Mapping
 
 from .bps import BpsVector, PairsSeries, _basis_peel, _reject_residual, pairs_basis_element
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import TruncSeries, binom_pow, q_negate
+from .series import TruncSeries, _as_int, _json_int, _Record, binom_pow, q_negate
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -28,29 +27,29 @@ def sym_euler(e: int, k: int) -> int:
     return (-1) ** k * comb(-e, k)
 
 
-@dataclass(frozen=True)
-class NodalCurve:
+class NodalCurve(_Record):
     """A genus-g curve with r nodes, labelled 0 .. r-1.
 
     chi maps each subset S of nodes to the Euler characteristic weight of
     the partial normalisation at S; all 2^r subsets must be present.
     """
 
+    __slots__ = ("g", "r", "chi")
     g: int
     r: int
     chi: Mapping[frozenset, int]
 
-    def __post_init__(self):
+    def _check(self):
         if self.g < 0 or self.r < 0:
             raise ValueError("g and r must be non-negative")
         if self.r > self.g:
             raise ValueError(f"r = {self.r} nodes need genus >= {self.r}, got g = {self.g}")
         norm = {}
         for S, v in self.chi.items():
-            S = frozenset(int(i) for i in S)
+            S = frozenset(_as_int(i, "node") for i in S)
             if any(i < 0 or i >= self.r for i in S):
                 raise ValueError(f"subset {sorted(S)} names a node outside 0..{self.r - 1}")
-            norm[S] = int(v)
+            norm[S] = _as_int(v, "weight")
         if len(norm) != 2 ** self.r:
             raise ValueError(
                 f"need weights for all {2 ** self.r} node subsets, got {len(norm)}"
@@ -64,26 +63,26 @@ class NodalCurve:
     @classmethod
     def from_json(cls, obj) -> "NodalCurve":
         try:
-            g, r = int(obj["g"]), int(obj["r"])
+            g, r = _json_int(obj["g"], "g"), _json_int(obj["r"], "r")
             chi = {}
             for key, v in obj["chi"].items():
-                S = frozenset(int(t) for t in key.split(",")) if key else frozenset()
-                chi[S] = int(v)
+                S = frozenset(_json_int(t, "node") for t in key.split(",")) if key else frozenset()
+                chi[S] = _json_int(v, "weight")
             return cls(g, r, chi)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad nodal-curve JSON: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SingularityGerm:
+class SingularityGerm(_Record):
     """A planar germ with delta invariant, Milnor number and the generating
     series of Euler characteristics of its punctual quotient schemes."""
 
+    __slots__ = ("delta", "mu", "q_euler")
     delta: int
     mu: int
     q_euler: TruncSeries
 
-    def __post_init__(self):
+    def _check(self):
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.q_euler.min_exp != 0 or self.q_euler.coeff(0) != 1:
@@ -95,7 +94,8 @@ class SingularityGerm:
     @classmethod
     def from_json(cls, obj) -> "SingularityGerm":
         try:
-            return cls(int(obj["delta"]), int(obj["mu"]), TruncSeries.from_json(obj["q_euler"]))
+            return cls(_json_int(obj["delta"], "delta"), _json_int(obj["mu"], "mu"),
+                       TruncSeries.from_json(obj["q_euler"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad singularity-germ JSON: {exc}") from None
 

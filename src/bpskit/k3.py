@@ -27,12 +27,11 @@ running sums.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from math import comb
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow
-from .series import BiSeries, LaurentPoly, TruncSeries, eta_power
+from .series import BiSeries, LaurentPoly, TruncSeries, _json_int, _Record, eta_power
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -149,10 +148,10 @@ def _ky_rows(h_max: int, y_order: int, c: int) -> tuple[LaurentPoly, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KkvTable:
+class KkvTable(_Record):
     """Signed genus-h counts r_(g,h) for 0 <= g <= h <= h_max."""
 
+    __slots__ = ("h_max", "rows")
     h_max: int
     rows: dict
 
@@ -179,8 +178,9 @@ class KkvTable:
     @classmethod
     def from_json(cls, obj) -> "KkvTable":
         try:
-            rows = {(int(r["g"]), int(r["h"])): int(r["r"]) for r in obj["rows"]}
-            return cls(int(obj["h_max"]), rows)
+            rows = {(_json_int(r["g"], "g"), _json_int(r["h"], "h")): _json_int(r["r"])
+                    for r in obj["rows"]}
+            return cls(_json_int(obj["h_max"], "h_max"), rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad table JSON: {exc}") from None
 
@@ -191,11 +191,11 @@ class KkvTable:
             w.writerow([g, h, v])
 
 
-@dataclass(frozen=True)
-class K3PairsSeries:
+class K3PairsSeries(_Record):
     """Euler characteristics of K3 pair moduli: the coefficient of y^n q^h
     is exact for every 1 - h <= n <= y_order, h <= h_max."""
 
+    __slots__ = ("rows", "y_order")
     rows: tuple
     y_order: int
 
@@ -277,11 +277,11 @@ def yau_zaslow(h_max: int) -> TruncSeries:
     return eta_power(-24, h_max)
 
 
-@dataclass(frozen=True)
-class SignedCheckReport:
+class SignedCheckReport(_Record):
     """Outcome of the signed conversion identity between the pair counts
     and the alternating product form."""
 
+    __slots__ = ("passed", "first_mismatch", "h_max", "y_order")
     passed: bool
     first_mismatch: tuple[int, int] | None
     h_max: int

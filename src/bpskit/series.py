@@ -16,8 +16,8 @@ so a reported coefficient is always exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import comb
-from typing import Iterable, Mapping
 
 from . import kernels
 from .errors import EmptyWindow, InputError, InsufficientWindow, NonUnitLeading
@@ -27,6 +27,111 @@ def _as_int(x, what="coefficient"):
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"{what} must be an int, not {type(x).__name__}")
     return x
+
+
+def _json_int(x, what="coefficient"):
+    """An integer read from JSON: a JSON int (not a bool) or a string of an
+    optional '-' and ASCII digits.  Anything else raises InputError."""
+    if type(x) is int:
+        return x
+    if type(x) is str:
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isdigit() and digits.isascii():
+            return int(x)
+    text = repr(x)
+    if len(text) > 40:
+        text = text[:37] + "..."
+    raise InputError(f"{what} must be an integer or a decimal string, not {text}")
+
+
+def _json_ints(xs, what="coefficient") -> list:
+    """_json_int over a JSON array, checked in bulk, several times cheaper
+    than a call per entry.  When the strings hold only ASCII digits and
+    '-' (bytes.isdigit is ASCII-only), int() accepts exactly the shape
+    -?[0-9]+ and rejects the rest."""
+    if type(xs) is not list:
+        raise InputError(f"{what}s must be a JSON array")
+    kinds = set(map(type, xs))
+    if kinds <= {int, str}:
+        text = "".join([x for x in xs if type(x) is str] if int in kinds else xs)
+        if not text or text.isascii() and text.encode().replace(b"-", b"").isdigit():
+            try:
+                return list(map(int, xs))
+            except ValueError:
+                pass
+    return [_json_int(x, what) for x in xs]  # raises, naming the first bad entry
+
+
+_setattr = object.__setattr__  # binds a field past _Record.__setattr__
+
+
+class _Record:
+    """Immutable record: the base of the package's result types.
+
+    A subclass names its fields in __slots__, may give defaults in
+    _defaults, and may validate or normalise the bound fields in _check
+    (normalising through object.__setattr__).  Fields bind positionally or
+    by keyword; equality (same type only) and hashing go by the field
+    tuple, so a record holding a dict is unhashable.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        self._check()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            how = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {how} argument {name!r}")
+        return values
+
+    def _check(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class LaurentPoly:
@@ -186,10 +291,10 @@ class LaurentPoly:
         data = {}
         for k, v in obj["terms"].items():
             try:
-                data[int(k)] = int(v)
-            except (TypeError, ValueError):
-                raise InputError(f"bad Laurent term {k!r}: {v!r}") from None
-        return cls(data)
+                data[_json_int(k, "exponent")] = _json_int(v)
+            except ValueError as exc:
+                raise InputError(f"bad Laurent term: {exc}") from None
+        return cls._raw({e: c for e, c in data.items() if c})
 
 
 class TruncSeries:
@@ -415,9 +520,9 @@ class TruncSeries:
         if not isinstance(obj, dict):
             raise InputError("series JSON must be an object")
         try:
-            lo = int(obj["min_exp"])
-            order = int(obj["order"])
-            coeffs = [int(c) for c in obj["coeffs"]]
+            lo = _json_int(obj["min_exp"], "min_exp")
+            order = _json_int(obj["order"], "order")
+            coeffs = _json_ints(obj["coeffs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad series JSON: {exc}") from None
         if len(coeffs) != order - lo + 1:
@@ -425,7 +530,7 @@ class TruncSeries:
                 f"series JSON window [{lo}, {order}] needs {order - lo + 1} "
                 f"coefficients, got {len(coeffs)}"
             )
-        return cls(lo, coeffs, order)
+        return cls._raw(lo, coeffs, order)
 
 
 class BiSeries:

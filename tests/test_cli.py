@@ -201,6 +201,16 @@ class TestExitCodes:
         code, _, _ = cli(capsys, "k3", "yz", "--hmax", "2", "--frmt", "csv")
         assert code == 2
 
+    def test_version(self, capsys):
+        code, out, _ = cli(capsys, "--version")
+        assert code == 0 and out == "bpskit 0.1.0\n"
+
+    def test_float_or_bool_coefficient_is_input_error(self, capsys, monkeypatch):
+        payload = json.dumps({"min_exp": 0, "order": 2, "coeffs": [1.9, 2, True]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = cli(capsys, "bps", "decompose", "--g", "1")
+        assert code == 2 and out == "" and "1.9" in err
+
     def test_short_window_is_precondition_error(self, capsys):
         code, _, _ = cli(capsys, "bps", "recompose", "--g", "0", "--n", "5",
                          "--order", "0")
