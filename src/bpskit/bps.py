@@ -154,14 +154,18 @@ def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
     return PairsSeries(_basis_sum(v.n, order, *_PAIRS), g)
 
 
-def _pairs_peel(series: TruncSeries, g: int):
-    """Peel of n_g .. n_0 over the pairs basis; callers decide what to do
-    with a nonzero residual."""
+def _need_q1(series: TruncSeries, g: int) -> None:
     if series.order < 1:
         raise InsufficientWindow(
             f"decomposition to genus {g} needs the window to reach q^1 "
             f"(order is {series.order}); {g + 1} leading coefficients are required"
         )
+
+
+def _pairs_peel(series: TruncSeries, g: int):
+    """Peel of n_g .. n_0 over the pairs basis; callers decide what to do
+    with a nonzero residual."""
+    _need_q1(series, g)
     return _basis_peel(series, g, *_PAIRS)
 
 
@@ -191,8 +195,9 @@ class IdentityCheck(_Record):
 class GgtcReport(_Record):
     """Results of the three defining identities of the pairs basis.
 
-    n0 is the candidate count peeled off the series; the identities are
-    checked against it on every exponent the window certifies.
+    n0 is the candidate count n_0 the triangular peel would find (read in
+    closed form, see validate_ggtc); the identities are checked against it
+    on every exponent the window certifies.
     """
 
     __slots__ = ("passed", "identity_g0", "identity_gg", "identity_0", "checked_order", "n0")
@@ -216,8 +221,15 @@ class GgtcReport(_Record):
 def validate_ggtc(Z: PairsSeries) -> GgtcReport:
     """Check the three identities that characterise genus-g pairs series.
 
-    With N the candidate degree-zero count (obtained by the triangular
-    peel, without demanding the peel close), the identities are:
+    N is the degree-zero count n_0 that the triangular peel would find,
+    whether or not the peel closes.  It has a closed form: N = P_1 - P_(-1)
+    for g >= 2 and N = P_1 for g <= 1.  Proof: each B_r = (q^(-1/2) +
+    q^(1/2))^(2r-2) with r >= 1 is symmetric under q <-> 1/q, so peeling it
+    leaves P_1 - P_(-1) unchanged, and the peel reads n_0 at q^1 after the
+    r = 2 step has cleared q^(-1) (for g <= 1 nothing is peeled at q^(-1),
+    and B_1 = 1 has no q^1 term); B_0 = q (1+q)^-2 then has [q^1] = 1.
+
+    The identities are:
 
     * identity_0:  P_n = 0 for n <= -g;
     * identity_gg: P_n - P_(-n) = (-1)^(n-1) n N for 0 < n < g;
@@ -227,40 +239,25 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
     InsufficientWindow.
     """
     s, g = Z.series, Z.g
-    n, _res, _base = _pairs_peel(s, g)
-    N = n[0]
+    _need_q1(s, g)
+    lo, order = s.min_exp, s.order
+    top = min(g - 1, order)  # identity_gg runs over 0 < n <= top
+    base = min(lo, -max(top, 1))
+    P = [0] * (lo - base) + s.coeff_list()  # P[z + n] is P_n on [base, order]
+    z = -base
+    N = P[z + 1] - P[z - 1] if g >= 2 else P[z + 1]
 
-    fail_0 = None
-    for e, c in s.items():
-        if e > -g:
-            break
-        if c:
-            fail_0 = e
-            break
-
-    fail_gg = None
-    for m in range(1, min(g - 1, s.order) + 1):
-        if s.coeff(m) - s.coeff(-m) != (-1) ** (m - 1) * m * N:
-            fail_gg = m
-            break
-
-    fail_g0 = None
-    for m in range(g, s.order + 1):
-        if s.coeff(m) != (-1) ** (m - 1) * m * N:
-            fail_g0 = m
-            break
-
-    checks = {
-        "identity_0": IdentityCheck(fail_0 is None, fail_0),
-        "identity_gg": IdentityCheck(fail_gg is None, fail_gg),
-        "identity_g0": IdentityCheck(fail_g0 is None, fail_g0),
-    }
+    fail_0 = lo if lo <= -g else None  # lo is the lowest nonzero exponent
+    fail_gg = next((m for m in range(1, top + 1)
+                    if P[z + m] - P[z - m] != (m * N if m % 2 else -m * N)), None)
+    fail_g0 = next((m for m in range(g, order + 1)
+                    if P[z + m] != (m * N if m % 2 else -m * N)), None)
     return GgtcReport(
-        all(c.passed for c in checks.values()),
-        checks["identity_g0"],
-        checks["identity_gg"],
-        checks["identity_0"],
-        s.order,
+        fail_0 is None and fail_gg is None and fail_g0 is None,
+        IdentityCheck(fail_g0 is None, fail_g0),
+        IdentityCheck(fail_gg is None, fail_gg),
+        IdentityCheck(fail_0 is None, fail_0),
+        order,
         N,
     )
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 a validation or identity failure (the input is
 well-formed but the mathematics rejects it); 2 malformed input; 3 a
 precondition failure such as a window that is too short; 70 an internal
-error (a bug), reported with its traceback.
+error (a bug), reported with its traceback; 74 the output could not be
+written (a closed pipe, a missing directory), reported in one line.
 
 All JSON output is emitted with sorted keys so identical inputs give
 byte-identical bytes.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import __version__
@@ -29,7 +31,7 @@ from .curves import (
 )
 from .errors import InputError, PreconditionError, ValidationError
 from .k3 import _kkv_table, ky_series, signed_conversion_check, yau_zaslow
-from .series import TruncSeries, eta_power
+from .series import TruncSeries, _int_strs, _json_int, eta_power
 
 
 def _read_text(path: str) -> str:
@@ -62,7 +64,9 @@ class _Out:
         return self.f
 
     def __exit__(self, *exc):
-        if self.f is not sys.stdout:
+        if self.f is sys.stdout:
+            self.f.flush()  # a closed pipe fails here, inside run()
+        else:
             self.f.close()
 
 
@@ -76,8 +80,8 @@ def _series_csv(series: TruncSeries, out: str, head=("n", "coeff")):
     with _Out(out) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(head)
-        for e in range(series.min_exp, series.order + 1):
-            w.writerow([e, series.coeff(e)])
+        w.writerows(zip(range(series.min_exp, series.order + 1),
+                        _int_strs(series.coeff_list())))
 
 
 def _load_pairs(args) -> PairsSeries:
@@ -97,8 +101,8 @@ def _load_pairs(args) -> PairsSeries:
 
 def _cmd_bps_recompose(args):
     try:
-        entries = tuple(int(t) for t in args.n.split(","))
-    except ValueError:
+        entries = tuple(_json_int(t) for t in args.n.split(","))
+    except InputError:
         raise InputError(f"--n must be comma-separated integers, got {args.n!r}") from None
     v = BpsVector(args.g, entries)
     order = args.order if args.order is not None else args.g + 15
@@ -206,6 +210,17 @@ def _cmd_series_eta(args):
     return 0
 
 
+def _integer(text: str) -> int:
+    """argparse type of every integer flag: the JSON readers' rule, an
+    optional '-' and ASCII digits."""
+    try:
+        return _json_int(text)
+    except InputError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer (an optional '-' and ASCII digits), got {text!r}"
+        ) from None
+
+
 def _add_io(p, fmt=False):
     p.add_argument("--in", dest="infile", default="-", help="input path, - for stdin")
     p.add_argument("--out", default="-", help="output path, - for stdout")
@@ -222,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = bps.add_parser("recompose", help="vector -> pairs series")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_integer, required=True)
     p.add_argument("--n", required=True, help="comma-separated n_0..n_g")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_integer, default=None)
     _add_io(p)
     p.set_defaults(fn=_cmd_bps_recompose)
     for verb, fn in (("decompose", _cmd_bps_decompose), ("validate", _cmd_bps_validate)):
         p = bps.add_parser(verb)
-        p.add_argument("--g", type=int, default=None)
+        p.add_argument("--g", type=_integer, default=None)
         _add_io(p)
         p.set_defaults(fn=fn)
 
@@ -237,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = hilb.add_parser("decompose")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_integer, required=True)
     _add_io(p)
     p.set_defaults(fn=_cmd_hilb_decompose)
 
@@ -245,23 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = curve.add_parser("nonsingular")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--g", type=_integer, required=True)
+    p.add_argument("--chi", type=_integer, required=True)
+    p.add_argument("--order", type=_integer, default=None)
     _add_io(p)
     p.set_defaults(fn=_cmd_curve_nonsingular)
     p = curve.add_parser("nodal")
-    p.add_argument("--order", type=int, default=None, help="also emit the pairs series")
+    p.add_argument("--order", type=_integer, default=None, help="also emit the pairs series")
     _add_io(p)
     p.set_defaults(fn=_cmd_curve_nodal)
     p = curve.add_parser("qseries")
     _add_io(p)
     p.set_defaults(fn=_cmd_curve_qseries)
     p = curve.add_parser("stratify")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--euler0", type=int, required=True,
+    p.add_argument("--g", type=_integer, required=True)
+    p.add_argument("--euler0", type=_integer, required=True,
                    help="Euler characteristic of the smooth locus")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_integer, default=None)
     _add_io(p)
     p.set_defaults(fn=_cmd_curve_stratify)
 
@@ -269,21 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = k3.add_parser("ky")
-    p.add_argument("--hmax", type=int, required=True)
-    p.add_argument("--yorder", type=int, required=True)
+    p.add_argument("--hmax", type=_integer, required=True)
+    p.add_argument("--yorder", type=_integer, required=True)
     _add_io(p)
     p.set_defaults(fn=_cmd_k3_ky)
     p = k3.add_parser("kkv")
-    p.add_argument("--hmax", type=int, required=True)
+    p.add_argument("--hmax", type=_integer, required=True)
     _add_io(p, fmt=True)
     p.set_defaults(fn=_cmd_k3_kkv)
     p = k3.add_parser("yz")
-    p.add_argument("--hmax", type=int, required=True)
+    p.add_argument("--hmax", type=_integer, required=True)
     _add_io(p, fmt=True)
     p.set_defaults(fn=_cmd_k3_yz)
     p = k3.add_parser("signed-check")
-    p.add_argument("--hmax", type=int, required=True)
-    p.add_argument("--yorder", type=int, required=True)
+    p.add_argument("--hmax", type=_integer, required=True)
+    p.add_argument("--yorder", type=_integer, required=True)
     _add_io(p)
     p.set_defaults(fn=_cmd_k3_signed_check)
 
@@ -291,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = series.add_parser("eta", help="prod (1 - q^n)^exponent")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--exponent", type=int, default=-24)
+    p.add_argument("--order", type=_integer, required=True)
+    p.add_argument("--exponent", type=_integer, default=-24)
     _add_io(p, fmt=True)
     p.set_defaults(fn=_cmd_series_eta)
 
@@ -319,11 +334,28 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the output (or stdin) failed, not bpskit
+        if isinstance(exc, BrokenPipeError):
+            _drop_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return 74  # EX_IOERR
     except Exception:
         import traceback  # only on this path: it adds to every start-up otherwise
 
         traceback.print_exc()
         return 70  # EX_SOFTWARE
+
+
+def _drop_stdout():
+    """Point a stdout whose reader has gone at os.devnull, so that the
+    flush at exit does not raise a second BrokenPipeError."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main():

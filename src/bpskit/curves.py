@@ -14,7 +14,7 @@ from math import comb
 
 from .bps import BpsVector, PairsSeries, _basis_peel, _reject_residual, pairs_basis_element
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import TruncSeries, _as_int, _json_int, _Record, binom_pow, q_negate
+from .series import TruncSeries, _as_int, _json_int, _Record, q_negate
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -152,27 +152,34 @@ def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
     """Pairs series of a nodal curve, built stratum by stratum.
 
     Each partial normalisation of genus h = g - |S| contributes
-    sum_n (-1)^(n-1) chi_S e(Sym^(n-1+h)) q^n where the symmetric products
-    are those of a space with Euler characteristic 2 - 2h.  This is an
-    independent route to the same answer as nodal_contribution followed
-    by recomposition.
+    sum_m (-1)^(m-1) chi_S e(Sym^(m-1+h)) q^m where the symmetric products
+    are those of a space with Euler characteristic e = 2 - 2h.  A subset
+    enters only through |S|, so the weights are first summed into the
+    strata |S| = 0 .. r, and each stratum adds its row once, with
+    e(Sym^k) = C(e+k-1, k) from the exact ratio t_k = t_(k-1) (e+k-1)/k.
+    For h >= 1 the row ends at q^(h-1) (e(Sym^k) = 0 for k > 2h - 2); for
+    h = 0 it runs to the window's end.  That is O(2^r + r * order) work.
+    This is an independent route to the same answer as nodal_contribution
+    followed by recomposition.
     """
     g = curve.g
     if order < 1 - g:
         raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
-    lo = 1 - g
-    acc = [0] * (order - lo + 1)
+    strata = [0] * (curve.r + 1)
     for S, v in curve.chi.items():
-        if not v:
-            continue
-        h = g - len(S)
+        strata[len(S)] += v
+    acc = [0] * (order + g)  # q^(1-g) .. q^order
+    for size, v in enumerate(strata):
+        h = g - size
         e = 2 - 2 * h
-        for m in range(1 - h, order + 1):
-            k = m - 1 + h
-            t = sym_euler(e, k)
-            if t:
-                acc[m - lo] += v * t if m % 2 else -v * t
-    return PairsSeries(TruncSeries(lo, acc, order), g)
+        x = -v if h % 2 else v  # the q^(1-h) term, at acc[size]
+        i = size
+        while x and i < len(acc):
+            acc[i] += x
+            i += 1
+            k = i - size
+            x = -x * (e + k - 1) // k
+    return PairsSeries(TruncSeries._raw(1 - g, acc, order), g)
 
 
 def q_series_decompose(germ: SingularityGerm) -> list[int]:
@@ -195,13 +202,58 @@ def q_series_decompose(germ: SingularityGerm) -> list[int]:
     return n
 
 
+def _times_one_plus_q_pow(a: list, e: int, n: int) -> list:
+    """The first n coefficients of a (1+q)^e, for any integer e.
+
+    Kronecker substitution (Harvey, arXiv:0712.4046): q -> 2^b maps
+    Z[q]/(q^n) to Z/2^(bn) as a ring map, so the product is the packed a
+    times (1 + 2^b)^e modulo 2^(bn), which exists for e < 0 too since
+    1 + 2^b is odd.  Slot width: every output coefficient obeys
+
+        |[q^j] a (1+q)^e| <= max|a| sum_(k<n) |C(e, k)| <= max|a| 2^(|e|+n),
+
+    the sum being at most 2^e for e >= 0 and C(n-1-e, n-1) < 2^(n-1-e)
+    for e < 0.  b is the bit length of that bound plus one sign bit,
+    rounded up to whole bytes; each slot is biased by 2^(b-1) so that one
+    int.to_bytes unpacks the product.
+    """
+    if n <= 0:
+        return []
+    a = a[:n] + [0] * (n - len(a))
+    bits = max(map(abs, a)).bit_length() + (e if e >= 0 else n - 1 - e) + 1
+    nbytes = (bits + 7) // 8
+    b = 8 * nbytes
+    half = 1 << (b - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    modulus = 1 << (b * n)
+
+    def pack(vs):  # sum v_k 2^(bk) over n values, each |v_k| < 2^(b-1)
+        return int.from_bytes(b"".join([(v + half).to_bytes(nbytes, "little")
+                                        for v in vs]), "little") - bias
+
+    if e >= 0:
+        x = pow(1 + (1 << b), e, modulus)
+    else:
+        # pow(1 + 2**b, e, 2**(b*n)) would invert and then reduce by a
+        # full-size division per step; C(e, k) from its exact ratio is O(n)
+        row, c = [], 1
+        for k in range(n):
+            row.append(c)
+            c = c * (e - k) // (k + 1)
+        x = pack(row)
+    raw = ((pack(a) * x + bias) & (modulus - 1)).to_bytes(nbytes * n, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, nbytes * n, nbytes)]
+
+
 def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
                           order: int) -> PairsSeries:
     """Pairs series of a genus-g curve whose only singularity is the germ,
     with smooth locus of Euler characteristic e_smooth.
 
-    The series is (signed punctual series) * q^(1-g) * (1+q)^(-e_smooth).
-    The germ's Milnor number must satisfy mu = (2 - 2g) - e_smooth.
+    The series is (signed punctual series) * q^(1-g) * (1+q)^(-e_smooth),
+    one packed product.  The germ's Milnor number must satisfy
+    mu = (2 - 2g) - e_smooth.
     """
     expected = milnor_from_geometry(g, e_smooth)
     if germ.mu != expected:
@@ -215,9 +267,11 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
             f"pairs series to q^{order} needs the punctual series exact through "
             f"q^{order + g - 1}; window stops at q^{signed.order}"
         )
-    shifted = signed.shift(1 - g)
-    out = shifted * binom_pow(-e_smooth, "plus", order - (1 - g))
-    return PairsSeries(out, g)
+    if order < 1 - g:  # the (1+q)^E factor's window [0, order + g - 1] is empty
+        raise ValueError("order must be non-negative")
+    # the signed series is dense from its constant term 1
+    out = _times_one_plus_q_pow(signed.coeff_list(), -e_smooth, order + g)
+    return PairsSeries(TruncSeries._raw(1 - g, out, order), g)
 
 
 def subsets_of_nodes(r: int):

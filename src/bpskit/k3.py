@@ -31,7 +31,7 @@ from math import comb
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow
-from .series import BiSeries, LaurentPoly, TruncSeries, _json_int, _Record, eta_power
+from .series import BiSeries, LaurentPoly, TruncSeries, _int_strs, _json_int, _Record, eta_power
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -168,11 +168,11 @@ class KkvTable(_Record):
         return sorted(self.rows.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
     def to_json(self) -> dict:
+        items = self.sorted_items()
+        values = _int_strs([v for _gh, v in items])
         return {
             "h_max": self.h_max,
-            "rows": [
-                {"g": g, "h": h, "r": str(v)} for (g, h), v in self.sorted_items()
-            ],
+            "rows": [{"g": g, "h": h, "r": r} for ((g, h), _v), r in zip(items, values)],
         }
 
     @classmethod
@@ -187,8 +187,9 @@ class KkvTable(_Record):
     def write_csv(self, stream):
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(["g", "h", "r_gh"])
-        for (g, h), v in self.sorted_items():
-            w.writerow([g, h, v])
+        items = self.sorted_items()
+        values = _int_strs([v for _gh, v in items])
+        w.writerows([g, h, r] for ((g, h), _v), r in zip(items, values))
 
 
 class K3PairsSeries(_Record):

@@ -16,6 +16,7 @@ so a reported coefficient is always exact.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
 from math import comb
 
@@ -29,15 +30,71 @@ def _as_int(x, what="coefficient"):
     return x
 
 
+# CPython caps int <-> str conversion at sys.get_int_max_str_digits()
+# digits (4300 by default).  The converters below split a longer number
+# into pieces under the cap; they run only after str() or int() raised.
+
+
+def _big_int(text: str) -> int:
+    """int(text) for a string of an optional '-' and ASCII digits, of any
+    length."""
+    step = sys.get_int_max_str_digits()
+    powers = {}
+
+    def conv(s):
+        if len(s) <= step:
+            return int(s)
+        k = len(s) // 2
+        if k not in powers:
+            powers[k] = 10 ** k
+        return conv(s[:-k]) * powers[k] + conv(s[-k:])
+
+    return -conv(text[1:]) if text[:1] == "-" else conv(text)
+
+
+def _big_str(x: int) -> str:
+    """str(x) for an int of any size."""
+    step = sys.get_int_max_str_digits()
+
+    def conv(v, width):  # v >= 0, zero-padded to width digits
+        k = v.bit_length() * 30103 // 100000 + 1  # at least the digit count
+        if k <= step:
+            return str(v).zfill(width)
+        k //= 2
+        hi, lo = divmod(v, 10 ** k)
+        return conv(hi, width - k) + conv(lo, k)
+
+    return "-" + conv(-x, 0) if x < 0 else conv(x, 0)
+
+
+def _int_str(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:
+        return _big_str(x)
+
+
+def _int_strs(xs) -> list:
+    """[str(x) for x in xs], for ints of any size."""
+    try:
+        return list(map(str, xs))
+    except ValueError:
+        return [_int_str(x) for x in xs]
+
+
 def _json_int(x, what="coefficient"):
     """An integer read from JSON: a JSON int (not a bool) or a string of an
-    optional '-' and ASCII digits.  Anything else raises InputError."""
+    optional '-' and ASCII digits, of any length.  Anything else raises
+    InputError."""
     if type(x) is int:
         return x
     if type(x) is str:
         digits = x[1:] if x[:1] == "-" else x
         if digits.isdigit() and digits.isascii():
-            return int(x)
+            try:
+                return int(x)
+            except ValueError:  # past the digit cap
+                return _big_int(x)
     text = repr(x)
     if len(text) > 40:
         text = text[:37] + "..."
@@ -282,7 +339,11 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
     def to_json(self) -> dict:
-        return {"terms": {str(e): str(c) for e, c in self.items()}}
+        items = self.items()
+        try:
+            return {"terms": {str(e): str(c) for e, c in items}}
+        except ValueError:  # a number past the int <-> str digit cap
+            return {"terms": {_int_str(e): _int_str(c) for e, c in items}}
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPoly":
@@ -512,7 +573,7 @@ class TruncSeries:
         return {
             "min_exp": self._min,
             "order": self._order,
-            "coeffs": [str(c) for c in self._coeffs],
+            "coeffs": _int_strs(self._coeffs),
         }
 
     @classmethod

@@ -1,7 +1,16 @@
 """Shared oracles and strategies for the test suite."""
 
 import hypothesis.strategies as st
-from bpskit import TruncSeries
+from bpskit import (
+    GgtcReport,
+    InsufficientWindow,
+    NodalCurve,
+    PairsSeries,
+    TruncSeries,
+    binom_pow,
+    sym_euler,
+)
+from bpskit.bps import IdentityCheck, _pairs_peel
 
 
 def naive_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -53,3 +62,74 @@ def unit_series(draw, size=st.integers(1, 9)):
 
 
 laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)
+
+
+# -- the routes the batch functions replaced, kept as oracles ----------------
+
+
+def validate_ggtc_by_peel(Z: PairsSeries) -> GgtcReport:
+    """validate_ggtc with N read off the full triangular peel, the route
+    the closed form N = P_1 - P_(-1) replaced."""
+    s, g = Z.series, Z.g
+    n, _res, _base = _pairs_peel(s, g)
+    N = n[0]
+
+    fail_0 = None
+    for e, c in s.items():
+        if e > -g:
+            break
+        if c:
+            fail_0 = e
+            break
+
+    fail_gg = None
+    for m in range(1, min(g - 1, s.order) + 1):
+        if s.coeff(m) - s.coeff(-m) != (-1) ** (m - 1) * m * N:
+            fail_gg = m
+            break
+
+    fail_g0 = None
+    for m in range(g, s.order + 1):
+        if s.coeff(m) != (-1) ** (m - 1) * m * N:
+            fail_g0 = m
+            break
+
+    return GgtcReport(
+        fail_0 is None and fail_gg is None and fail_g0 is None,
+        IdentityCheck(fail_g0 is None, fail_g0),
+        IdentityCheck(fail_gg is None, fail_gg),
+        IdentityCheck(fail_0 is None, fail_0),
+        s.order,
+        N,
+    )
+
+
+def nodal_pairs_series_by_subset(curve: NodalCurve, order: int) -> PairsSeries:
+    """nodal_pairs_series with one sym_euler row per node subset, the
+    route the genus strata replaced."""
+    g = curve.g
+    if order < 1 - g:
+        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
+    lo = 1 - g
+    acc = [0] * (order - lo + 1)
+    for S, v in curve.chi.items():
+        if not v:
+            continue
+        h = g - len(S)
+        e = 2 - 2 * h
+        for m in range(1 - h, order + 1):
+            k = m - 1 + h
+            t = sym_euler(e, k)
+            if t:
+                acc[m - lo] += v * t if m % 2 else -v * t
+    return PairsSeries(TruncSeries(lo, acc, order), g)
+
+
+def binom_pow_product(a: list, e: int, n: int) -> list:
+    """The first n coefficients of a (1+q)^e as the schoolbook product
+    `shifted * binom_pow(e, "plus", ...)` that the packed product replaced."""
+    if n <= 0:
+        return []
+    shifted = TruncSeries(0, (list(a) + [0] * n)[:n], n - 1)
+    out = shifted * binom_pow(e, "plus", n - 1)
+    return [out.coeff(j) for j in range(n)]

@@ -1,15 +1,20 @@
 """End-to-end CLI coverage: every verb, the exit-code contract, and
 byte-determinism of the JSON output."""
 
+import argparse
 import hashlib
 import io
 import json
+import math
+import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
-from bpskit.cli import run
+from bpskit import cli as cli_module
+from bpskit.cli import build_parser, run
 
 NODE_GERM = {
     "delta": 1,
@@ -267,3 +272,122 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coeffs"] == ["1", "24", "324", "3200"]
+
+
+# every integer flag of every verb, with the other flags the verb requires
+INT_FLAGS = [
+    (("bps", "recompose"), {"--g": "1", "--n": "1,2"}, ("--g", "--order")),
+    (("bps", "decompose"), {}, ("--g",)),
+    (("bps", "validate"), {}, ("--g",)),
+    (("hilb", "decompose"), {"--g": "1"}, ("--g",)),
+    (("curve", "nonsingular"), {"--g": "1", "--chi": "1"}, ("--g", "--chi", "--order")),
+    (("curve", "nodal"), {}, ("--order",)),
+    (("curve", "stratify"), {"--g": "1", "--euler0": "0"}, ("--g", "--euler0", "--order")),
+    (("k3", "ky"), {"--hmax": "1", "--yorder": "1"}, ("--hmax", "--yorder")),
+    (("k3", "kkv"), {"--hmax": "1"}, ("--hmax",)),
+    (("k3", "yz"), {"--hmax": "1"}, ("--hmax",)),
+    (("k3", "signed-check"), {"--hmax": "1", "--yorder": "1"}, ("--hmax", "--yorder")),
+    (("series", "eta"), {"--order": "1"}, ("--order", "--exponent")),
+]
+INT_CASES = [(verb, req, flag) for verb, req, flags in INT_FLAGS for flag in flags]
+
+
+def _argv(verb, required, flag, value):
+    args = dict(required)
+    args[flag] = value
+    return [*verb, *(t for kv in args.items() for t in kv)]
+
+
+class TestIntegerFlags:
+    def test_table_names_every_typed_flag(self):
+        typed = set()
+        for group in build_parser()._actions:
+            if not isinstance(group, argparse._SubParsersAction):
+                continue
+            for gname, gparser in group.choices.items():
+                for verbs in gparser._actions:
+                    if not isinstance(verbs, argparse._SubParsersAction):
+                        continue
+                    for vname, vparser in verbs.choices.items():
+                        for action in vparser._actions:
+                            if action.type is not None:
+                                assert action.type is cli_module._integer
+                                typed.add(((gname, vname), action.option_strings[0]))
+        assert typed == {(verb, flag) for verb, _req, flag in INT_CASES}
+
+    @pytest.mark.parametrize("bad", [" 1", "1_0", "+1", "\uff11", "1.0"])
+    @pytest.mark.parametrize("verb, required, flag", INT_CASES)
+    def test_rejects_what_int_would_coerce(self, capsys, verb, required, flag, bad):
+        code, out, err = cli(capsys, *_argv(verb, required, flag, bad))
+        assert code == 2 and out == ""
+        assert "expected an integer" in err and flag in err
+
+    @pytest.mark.parametrize("good, value", [("12", 12), ("-3", -3)])
+    @pytest.mark.parametrize("verb, required, flag", INT_CASES)
+    def test_parses_decimal_integers(self, verb, required, flag, good, value):
+        args = build_parser().parse_args(_argv(verb, required, flag, good))
+        assert getattr(args, flag.lstrip("-")) == value
+
+    def test_underscored_hmax_is_a_usage_error(self, capsys):
+        code, out, _ = cli(capsys, "k3", "yz", "--hmax", " 1_0", "--format", "csv")
+        assert code == 2 and out == ""
+
+    def test_multiplicities_follow_the_same_rule(self, capsys):
+        code, _, err = cli(capsys, "bps", "recompose", "--g", "1", "--n", "1,+2")
+        assert code == 2 and "comma-separated" in err
+
+
+def _bpskit(*argv, **kw):
+    return subprocess.run([sys.executable, "-m", "bpskit", *argv], timeout=60, **kw)
+
+
+class TestOutputFailures:
+    def _assert_io_error(self, code, err):
+        assert code == 74
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_reader_closing_the_pipe(self):
+        # bpskit k3 yz --hmax 2000 --format csv | head -1: about 300 kB, more
+        # than a pipe holds, so the writer is still writing when head exits
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bpskit", "k3", "yz", "--hmax", "2000", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "h,r_0h\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        self._assert_io_error(proc.wait(timeout=60), err)
+
+    def test_pipe_without_a_reader(self):
+        # the short output fails at the final flush, still inside run()
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _bpskit("k3", "yz", "--hmax", "3", stdout=w, stderr=subprocess.PIPE,
+                           text=True)
+        finally:
+            os.close(w)
+        self._assert_io_error(proc.returncode, proc.stderr)
+
+    def test_missing_output_directory(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        proc = _bpskit("k3", "yz", "--hmax", "3", "--out", str(target),
+                       capture_output=True, text=True)
+        self._assert_io_error(proc.returncode, proc.stderr)
+        assert proc.stdout == "" and str(target) in proc.stderr
+
+
+def test_coefficients_past_the_digit_limit(capsys):
+    # (1+q)^15998 q^-7999 through q^0: the middle binomials have 4,800 digits
+    obj = cli_json(capsys, "curve", "nonsingular", "--g", "8000", "--chi", "1", "--order", "0")
+    coeffs = obj["series"]["coeffs"]
+    assert (obj["series"]["min_exp"], obj["series"]["order"]) == (-7999, 0)
+    assert max(map(len, coeffs)) > 4300
+    want = [1]  # C(15998, k) by the exact ratio; math.comb for all 8000 takes seconds
+    for k in range(7999):
+        want.append(want[-1] * (15998 - k) // (k + 1))
+    assert all(want[k] == math.comb(15998, k) for k in [*range(0, 8000, 250), 7999])
+    # Decimal reads and compares integers without the int <-> str digit limit
+    assert [Decimal(c) for c in coeffs] == [Decimal(v) for v in want]

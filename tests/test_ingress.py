@@ -1,9 +1,13 @@
 """Strict integer ingress: every JSON reader takes an integer slot only as a
 JSON int or a decimal string, and round-trips what `to_json` writes."""
 
+import io
 import json
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from bpskit import (
     BpsVector,
@@ -15,6 +19,8 @@ from bpskit import (
     SingularityGerm,
     TruncSeries,
 )
+from bpskit.cli import _series_csv
+from bpskit.series import _json_int
 
 BAD = [1.9, 2.0, -3.0, True, False, None, [1], {"a": 1},
        "1.5", " 12", "12 ", "1_000", "+5", "", "-", "--1", "1-2", "0x10", "1e3",
@@ -120,3 +126,68 @@ BIG = 3 ** 2000  # 955 digits
 def test_to_json_round_trips(value):
     text = json.dumps(value.to_json(), sort_keys=True)
     assert type(value).from_json(json.loads(text)) == value
+
+
+# -- integers past CPython's 4300-digit int <-> str limit ---------------------
+
+# about 10^4290 to 10^5100, so some coefficients fall under the limit
+huge = st.builds(lambda head, k, tail: head * 10 ** k + tail,
+                 st.integers(-10 ** 6, 10 ** 6), st.integers(4284, 5094),
+                 st.integers(0, 10 ** 6))
+
+
+@given(st.lists(huge, max_size=6), st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_huge_series_round_trips(coeffs, lo):
+    value = TruncSeries(lo, coeffs)
+    text = json.dumps(value.to_json())
+    assert TruncSeries.from_json(json.loads(text)) == value
+
+
+@given(st.dictionaries(st.integers(-5, 5), huge, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_huge_laurent_poly_round_trips(terms):
+    value = LaurentPoly(terms)
+    text = json.dumps(value.to_json())
+    assert LaurentPoly.from_json(json.loads(text)) == value
+
+
+@given(st.lists(huge, min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_huge_kkv_table_round_trips(values):
+    value = KkvTable(1, dict(zip([(0, 0), (0, 1), (1, 1)], values)))
+    text = json.dumps(value.to_json())
+    assert KkvTable.from_json(json.loads(text)) == value
+
+
+HUGE = 7 * 10 ** 4600 - 1  # 4601 digits
+
+
+PAST_LIMIT = ["-" + "9" * 4500, "0" * 5000 + "12", "1" + "0" * 4400]
+
+
+@pytest.mark.parametrize("text", PAST_LIMIT, ids=["negative", "leading-zeros", "power"])
+def test_json_int_past_the_limit(text):
+    assert Decimal(_json_int(text)) == Decimal(text)
+
+
+@pytest.mark.parametrize("slot", ["laurent-coeff", "series-coeff", "pairs-coeff",
+                                  "germ-coeff", "kkv-r"])
+@pytest.mark.parametrize("text", PAST_LIMIT, ids=["negative", "leading-zeros", "power"])
+def test_readers_take_decimal_strings_past_the_limit(slot, text):
+    reader, build, _key = SLOTS[slot]
+    value = reader(build(text))
+    again = json.loads(json.dumps(value.to_json()))
+    assert type(value).from_json(again) == value
+
+
+def test_csv_writers_past_the_limit(capsys):
+    _series_csv(TruncSeries(0, [HUGE, -HUGE, 1]), "-")
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "n,coeff" and rows[3] == "2,1"
+    assert Decimal(rows[1].split(",")[1]) == Decimal(HUGE)
+    assert Decimal(rows[2].split(",")[1]) == Decimal(-HUGE)
+    out = io.StringIO()
+    KkvTable(0, {(0, 0): -HUGE}).write_csv(out)
+    head, row = out.getvalue().splitlines()
+    assert head == "g,h,r_gh" and Decimal(row.split(",")[2]) == Decimal(-HUGE)
