@@ -19,7 +19,9 @@ pairs series; the Hilbert basis decomposes Hilbert-scheme generating
 series; the punctual basis is read on the q-negated punctual series of a
 planar germ; the KKV kernels turn the K3 product into r_(g,h) = (-1)^g n_g.
 
-A negative power 2r + m is an infinite series that the binomial
+Each element is one binomial row, `series._add_binom_row`, which
+`binom_pow`, `product_family` and the curve contributions share.  A
+negative power 2r + m is an infinite series that the row's exact
 recurrence expands up to the window's end, so the r = 0 elements
 B_0 = q (1+q)^-2 and q^g (1-q)^-2 = sum (k+1) q^(g+k) are no special case.
 The module also validates the three defining identities of the pairs
@@ -29,7 +31,7 @@ basis.
 from __future__ import annotations
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import TruncSeries, _as_int, _json_int, _json_ints, _Record
+from .series import TruncSeries, _add_binom_row, _as_int, _json_int, _json_ints, _Record
 
 
 class BpsVector(_Record):
@@ -85,28 +87,14 @@ class PairsSeries(_Record):
 _PAIRS = (1, 1, -2)  # (c, s, m) of the pairs basis
 
 
-def _add_element(acc: list, i: int, coef: int, p: int, s: int) -> None:
-    """acc[i + k] += coef * C(p, k) s^k: coef times (1 + s x)^p placed at
-    index i, through the end of acc (or through k = p when p >= 0)."""
-    top = len(acc) - 1 - i
-    if 0 <= p < top:
-        top = p
-    acc[i] += coef
-    b = coef
-    for k in range(1, top + 1):
-        b = b * ((p - k + 1) * s) // k
-        acc[i + k] += b
-
-
 def _basis_sum(n, order: int, c: int, s: int, m: int) -> TruncSeries:
     """sum n_r x^(c-r) (1 + s x)^(2r+m) over r = 0 .. top = len(n) - 1,
     exact on [c - top, order]."""
     lo = min(c - len(n) + 1, order + 1)
     acc = [0] * (order - lo + 1)
     for r, nr in enumerate(n):
-        i = c - r - lo
-        if nr and i < len(acc):
-            _add_element(acc, i, nr, 2 * r + m, s)
+        if nr:
+            _add_binom_row(acc, c - r - lo, nr, 2 * r + m, s)
     return TruncSeries._raw(lo, acc, order)
 
 
@@ -124,7 +112,7 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
         i = c - r - base
         nr = n[r] = res[i]
         if nr:
-            _add_element(res, i, -nr, 2 * r + m, s)
+            _add_binom_row(res, i, -nr, 2 * r + m, s)
     return n, res, base
 
 

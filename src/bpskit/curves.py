@@ -14,7 +14,8 @@ from math import comb
 
 from .bps import BpsVector, PairsSeries, _basis_peel, _reject_residual, pairs_basis_element
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import TruncSeries, _as_int, _json_int, _Record, q_negate
+from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _pack, _Record, _unpack,
+                     q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -155,10 +156,10 @@ def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
     sum_m (-1)^(m-1) chi_S e(Sym^(m-1+h)) q^m where the symmetric products
     are those of a space with Euler characteristic e = 2 - 2h.  A subset
     enters only through |S|, so the weights are first summed into the
-    strata |S| = 0 .. r, and each stratum adds its row once, with
-    e(Sym^k) = C(e+k-1, k) from the exact ratio t_k = t_(k-1) (e+k-1)/k.
-    For h >= 1 the row ends at q^(h-1) (e(Sym^k) = 0 for k > 2h - 2); for
-    h = 0 it runs to the window's end.  That is O(2^r + r * order) work.
+    strata |S| = 0 .. r, and each stratum adds its row once.  As
+    (-1)^k e(Sym^k) = C(-e, k), the row is (-1)^h chi q^(1-h) (1+q)^(2h-2),
+    one binomial row: for h >= 1 it ends at q^(h-1), for h = 0 it runs to
+    the window's end.  That is O(2^r + r * order) work.
     This is an independent route to the same answer as nodal_contribution
     followed by recomposition.
     """
@@ -170,15 +171,9 @@ def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
         strata[len(S)] += v
     acc = [0] * (order + g)  # q^(1-g) .. q^order
     for size, v in enumerate(strata):
-        h = g - size
-        e = 2 - 2 * h
-        x = -v if h % 2 else v  # the q^(1-h) term, at acc[size]
-        i = size
-        while x and i < len(acc):
-            acc[i] += x
-            i += 1
-            k = i - size
-            x = -x * (e + k - 1) // k
+        h = g - size  # the row is (-1)^h v q^(1-h) (1+q)^(2h-2), from acc[size]
+        if v:
+            _add_binom_row(acc, size, -v if h % 2 else v, 2 * h - 2, 1)
     return PairsSeries(TruncSeries._raw(1 - g, acc, order), g)
 
 
@@ -214,8 +209,7 @@ def _times_one_plus_q_pow(a: list, e: int, n: int) -> list:
 
     the sum being at most 2^e for e >= 0 and C(n-1-e, n-1) < 2^(n-1-e)
     for e < 0.  b is the bit length of that bound plus one sign bit,
-    rounded up to whole bytes; each slot is biased by 2^(b-1) so that one
-    int.to_bytes unpacks the product.
+    rounded up to whole bytes, the layout of series._pack and _unpack.
     """
     if n <= 0:
         return []
@@ -223,27 +217,15 @@ def _times_one_plus_q_pow(a: list, e: int, n: int) -> list:
     bits = max(map(abs, a)).bit_length() + (e if e >= 0 else n - 1 - e) + 1
     nbytes = (bits + 7) // 8
     b = 8 * nbytes
-    half = 1 << (b - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-    modulus = 1 << (b * n)
-
-    def pack(vs):  # sum v_k 2^(bk) over n values, each |v_k| < 2^(b-1)
-        return int.from_bytes(b"".join([(v + half).to_bytes(nbytes, "little")
-                                        for v in vs]), "little") - bias
-
     if e >= 0:
-        x = pow(1 + (1 << b), e, modulus)
+        x = pow(1 + (1 << b), e, 1 << (b * n))
     else:
         # pow(1 + 2**b, e, 2**(b*n)) would invert and then reduce by a
-        # full-size division per step; C(e, k) from its exact ratio is O(n)
-        row, c = [], 1
-        for k in range(n):
-            row.append(c)
-            c = c * (e - k) // (k + 1)
-        x = pack(row)
-    raw = ((pack(a) * x + bias) & (modulus - 1)).to_bytes(nbytes * n, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") - half
-            for i in range(0, nbytes * n, nbytes)]
+        # full-size division per step; the binomial row is O(n)
+        row = [0] * n
+        _add_binom_row(row, 0, 1, e, 1)
+        x = _pack(row, nbytes)
+    return _unpack(_pack(a, nbytes) * x, n, nbytes, True)[0]
 
 
 def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,

@@ -31,7 +31,8 @@ from math import comb
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow
-from .series import BiSeries, LaurentPoly, TruncSeries, _int_strs, _json_int, _Record, eta_power
+from .series import (BiSeries, LaurentPoly, TruncSeries, _int_strs, _json_int, _Record, _unpack,
+                     eta_power)
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -79,30 +80,23 @@ def _theta_packed(h_max: int, c: int, t: bool, b: int) -> list[int]:
             for h in range(h_max + 1)]
 
 
-def _unpack(packed: list[int], sums: list[int], nbytes: int, signed: bool,
-            t: bool) -> list[list[int]]:
-    """Slot lists of packed rows with nbytes bytes a slot.
+def _unpack_rows(packed: list[int], sums: list[int], nbytes: int, signed: bool,
+                 t: bool) -> list[list[int]]:
+    """Slot lists of packed rows with nbytes bytes a slot (series._unpack).
 
-    Row h has h + 1 slots in t, 2h + 1 in z.  Signed slots hold values in
-    [-2^(b-1), 2^(b-1)).  The absolute values of each row must sum to its
-    b = 0 value in sums, with no bits left above the top slot, or
-    ArithmeticError names the row.  An unsigned row that overflowed a
-    slot always fails: each carry lowers the slot sum by 2^b - 1.
+    Row h has h + 1 slots in t, 2h + 1 in z.  The absolute values of each
+    row must sum to its b = 0 value in sums, with no bits left above the
+    top slot, or ArithmeticError names the row.  An unsigned row that
+    overflowed a slot always fails: each carry lowers the slot sum by
+    2^b - 1.
     """
-    b = 8 * nbytes
-    half = 1 << (b - 1) if signed else 0
     rows = []
     for h, (p, want) in enumerate(zip(packed, sums)):
-        width = h + 1 if t else 2 * h + 1
-        if signed:  # bias every slot by 2^(b-1), so each biased slot is >= 0
-            p += int.from_bytes((bytes(nbytes - 1) + b"\x80") * width, "little")
-        raw = (p & ((1 << (b * width)) - 1)).to_bytes(nbytes * width, "little")
-        row = [int.from_bytes(raw[i:i + nbytes], "little") - half
-               for i in range(0, nbytes * width, nbytes)]
+        row, above = _unpack(p, h + 1 if t else 2 * h + 1, nbytes, signed)
         got = sum(map(abs, row))
-        if got != want or p >> (b * width):
+        if got != want or above:
             raise ArithmeticError(
-                f"theta engine: q^{h} row does not fit {b}-bit slots: unpacked "
+                f"theta engine: q^{h} row does not fit {8 * nbytes}-bit slots: unpacked "
                 f"|coefficients| sum to {got}, the b = 0 run gives {want}"
             )
         rows.append(row)
@@ -118,7 +112,7 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
     """
     sums = _theta_packed(h_max, 1, t, 0)
     nbytes = (max(sums).bit_length() + (c < 0) + 7) // 8
-    return _unpack(_theta_packed(h_max, c, t, 8 * nbytes), sums, nbytes, c < 0, t)
+    return _unpack_rows(_theta_packed(h_max, c, t, 8 * nbytes), sums, nbytes, c < 0, t)
 
 
 def _kkv_table(h_max: int) -> "KkvTable":

@@ -1,33 +1,70 @@
-"""Kernel backend selection.
+"""Kernels for dense exact-integer series arithmetic.
 
-The compiled extension is preferred when importable.  Set
-BPSKIT_BACKEND=python to force the pure-Python kernels, or
-BPSKIT_BACKEND=ext to fail loudly if the extension is missing.
+Coefficients are Python ints throughout, so precision is unbounded.
+`mul_sparse_unit_inplace` has no caller; it stays while the benchmark
+declares its per-layer metrics.
 """
 
-import os
 
-_choice = os.environ.get("BPSKIT_BACKEND", "auto").strip().lower()
-if _choice not in {"auto", "ext", "python"}:
-    raise ImportError(f"BPSKIT_BACKEND must be auto, ext or python, not {_choice!r}")
+def mul_trunc(a, b, n):
+    """First n coefficients of the convolution of coefficient lists a and b."""
+    out = [0] * n
+    nb = len(b)
+    for i, ai in enumerate(a[:n]):
+        if not ai:
+            continue
+        for j in range(min(nb, n - i)):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
 
-if _choice == "python":
-    from . import _kernels_py as _impl
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _speedups as _impl
+def inverse_unit(c, n):
+    """First n coefficients of 1/c where c[0] is +1 or -1.
 
-        BACKEND = "ext"
-    except ImportError:
-        if _choice == "ext":
-            raise
-        from . import _kernels_py as _impl
+    Entries of c beyond index n-1 cannot influence the result, and entries
+    missing from a short c are treated as zero.
+    """
+    if n <= 0:
+        return []
+    lead = c[0]
+    d = [0] * n
+    d[0] = lead
+    nc = len(c)
+    for m in range(1, n):
+        s = 0
+        for j in range(1, min(m, nc - 1) + 1):
+            cj = c[j]
+            if cj:
+                s += cj * d[m - j]
+        if s:
+            d[m] = -s if lead == 1 else s
+    return d
 
-        BACKEND = "python"
 
-mul_trunc = _impl.mul_trunc
-inverse_unit = _impl.inverse_unit
-mul_sparse_unit_inplace = _impl.mul_sparse_unit_inplace
-axpy_shift = _impl.axpy_shift
+def mul_sparse_unit_inplace(acc, offsets, coeffs):
+    """Multiply acc in place by 1 + sum_i coeffs[i] * x**offsets[i].
+
+    Offsets must be ascending and >= 1; entries of the product beyond
+    len(acc) - 1 are discarded.
+    """
+    for j in range(len(acc) - 1, 0, -1):
+        s = acc[j]
+        for p, ci in zip(offsets, coeffs):
+            if p > j:
+                break
+            src = acc[j - p]
+            if src:
+                s += ci * src
+        acc[j] = s
+
+
+def axpy_shift(dst, src, shift, c, lo, hi):
+    """dst[i + shift] += c * src[i] for lo <= i <= hi."""
+    if not c:
+        return
+    for i in range(lo, hi + 1):
+        v = src[i]
+        if v:
+            dst[i + shift] += c * v

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Mapping
-from math import comb
 
 from . import kernels
 from .errors import EmptyWindow, InputError, InsufficientWindow, NonUnitLeading
@@ -117,6 +116,60 @@ def _json_ints(xs, what="coefficient") -> list:
             except ValueError:
                 pass
     return [_json_int(x, what) for x in xs]  # raises, naming the first bad entry
+
+
+def _add_binom_row(acc: list, i: int, coef: int, p: int, s: int) -> None:
+    """acc[i + k] += coef * C(p, k) s^k: coef times (1 + s x)^p placed at
+    index i, through the end of acc (or through k = p when p >= 0).
+
+    C(p, k) comes from the exact ratio C(p, k-1) (p-k+1) / k, so p may be
+    any integer; nothing is written when i lies past the end of acc.
+    """
+    top = len(acc) - 1 - i
+    if top < 0:
+        return
+    if 0 <= p < top:
+        top = p
+    acc[i] += coef
+    b = coef
+    for k in range(1, top + 1):
+        b = b * ((p - k + 1) * s) // k
+        acc[i + k] += b
+
+
+# Kronecker substitution (Harvey, arXiv:0712.4046) holds a list of n
+# integers as one int, sum v_k 2^(bk), with b = 8 * nbytes bits a slot.
+# A signed slot holds a value in [-2^(b-1), 2^(b-1)); biasing every slot
+# by 2^(b-1) makes each biased slot non-negative, so one int.to_bytes
+# reads them all.
+
+
+def _slot_bias(n: int, nbytes: int) -> int:
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(values: list, nbytes: int) -> int:
+    """sum v_k 2^(bk) over the values, each in [-2^(b-1), 2^(b-1))."""
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join([(v + half).to_bytes(nbytes, "little") for v in values])
+    return int.from_bytes(raw, "little") - _slot_bias(len(values), nbytes)
+
+
+def _unpack(p: int, n: int, nbytes: int, signed: bool) -> tuple[list, int]:
+    """The n slots of a packed int and the bits left above the top slot.
+
+    Signed slots read as values in [-2^(b-1), 2^(b-1)), unsigned ones in
+    [0, 2^b).  An unsigned slot that overflowed carried into the next, so
+    it shows as a nonzero remainder above or a lower slot sum.
+    """
+    b = 8 * nbytes
+    half = 1 << (b - 1) if signed else 0
+    if signed:
+        p += _slot_bias(n, nbytes)
+    raw = (p & ((1 << (b * n)) - 1)).to_bytes(nbytes * n, "little")
+    slots = [int.from_bytes(raw[i:i + nbytes], "little") - half
+             for i in range(0, nbytes * n, nbytes)]
+    return slots, p >> (b * n)
 
 
 _setattr = object.__setattr__  # binds a field past _Record.__setattr__
@@ -664,13 +717,6 @@ def series_inverse(a: TruncSeries, order: int) -> TruncSeries:
     return a.inverse(order)
 
 
-def _one_minus_x_pow(e: int, top: int) -> list[int]:
-    """Coefficients of (1 - x)**e through x**top, for any integer e."""
-    if e >= 0:
-        return [(-1) ** k * comb(e, k) for k in range(top + 1)]
-    return [comb(-e + k - 1, k) for k in range(top + 1)]
-
-
 def binom_pow(e: int, sign: str, order: int) -> TruncSeries:
     """(1 + q)**e when sign is 'plus', (1 - q)**e when sign is 'minus'.
 
@@ -680,9 +726,8 @@ def binom_pow(e: int, sign: str, order: int) -> TruncSeries:
         raise ValueError(f"sign must be 'plus' or 'minus', not {sign!r}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    cs = _one_minus_x_pow(e, order)
-    if sign == "plus":
-        cs = [(-c if k % 2 else c) for k, c in enumerate(cs)]
+    cs = [0] * (order + 1)
+    _add_binom_row(cs, 0, 1, e, 1 if sign == "plus" else -1)
     return TruncSeries._raw(0, cs, order)
 
 
@@ -725,11 +770,12 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
         for a, e, c in factors3:
             if not e:
                 continue
-            base = _one_minus_x_pow(e, top)
+            base = [0] * (top + 1)  # (1 - c x)^e
+            _add_binom_row(base, 0, 1, e, -c)
             # in place, highest q-row first: row h gains c_k * z^(a k) * row (h - n k)
             for h in range(order_q, 0, -1):
                 for k in range(1, h // n + 1):
-                    ck = base[k] * (c ** k)
+                    ck = base[k]
                     if not ck:
                         continue
                     hsrc = h - n * k

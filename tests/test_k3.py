@@ -22,7 +22,8 @@ from bpskit import (
     yau_zaslow,
 )
 from bpskit import kernels, product_family
-from bpskit.k3 import KKV_FACTORS, _kkv_table, _ky_rows, _theta_packed, _theta_rows, _unpack
+from bpskit.k3 import (KKV_FACTORS, _kkv_table, _ky_rows, _theta_packed, _theta_rows,
+                       _unpack_rows)
 from bpskit.series import _expand_product
 
 YZ_HEAD = [1, 24, 324, 3200, 25650, 176256, 1073720]
@@ -151,7 +152,8 @@ class TestThetaEngine:
             good = _theta_rows(h_max, c, t)
             for narrow in range(1, nbytes):
                 try:
-                    rows = _unpack(_theta_packed(h_max, c, t, 8 * narrow), sums, narrow, c < 0, t)
+                    packed = _theta_packed(h_max, c, t, 8 * narrow)
+                    rows = _unpack_rows(packed, sums, narrow, c < 0, t)
                 except ArithmeticError as exc:
                     assert "q^" in str(exc) and f"{8 * narrow}-bit" in str(exc)
                     raised += 1
@@ -164,7 +166,7 @@ class TestThetaEngine:
         nbytes = (max(sums).bit_length() + 7) // 8
         assert nbytes == 12
         with pytest.raises(ArithmeticError) as info:
-            _unpack(_theta_packed(58, 1, False, 88), sums, 11, False, False)
+            _unpack_rows(_theta_packed(58, 1, False, 88), sums, 11, False, False)
         assert str(info.value) == (
             "theta engine: q^54 row does not fit 88-bit slots: unpacked |coefficients| "
             f"sum to 1918314543435091429588704125, the b = 0 run gives {sums[54]}")

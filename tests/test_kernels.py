@@ -1,22 +1,12 @@
-"""Backend parity: the compiled kernels must agree with the pure-Python
-reference on every operation, including arbitrary-precision values."""
+"""The kernels against a schoolbook convolution, on small and
+arbitrary-precision values."""
 
 import random
 
 import pytest
 
-import bpskit._kernels_py as pyk
+import bpskit
 from bpskit import kernels
-
-try:
-    import bpskit._speedups as ext
-except ImportError:
-    ext = None
-
-BACKENDS = [pytest.param(pyk, id="python")]
-if ext is not None:
-    BACKENDS.append(pytest.param(ext, id="ext"))
-
 
 def _reference_conv(a, b, n):
     out = [0] * n
@@ -32,7 +22,8 @@ def rng():
     return random.Random(1729)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+# the test ids name the backend that bpskit.kernel_backend reports
+@pytest.mark.parametrize("impl", [pytest.param(kernels, id=bpskit.kernel_backend)])
 class TestKernels:
     def test_mul_trunc_small(self, impl, rng):
         for _ in range(50):
@@ -82,18 +73,7 @@ class TestKernels:
         assert dst[3] == 15
 
 
-@pytest.mark.skipif(ext is None, reason="compiled extension not built")
-def test_backends_agree(rng):
-    for _ in range(40):
-        a = [rng.randint(-(10 ** 25), 10 ** 25) for _ in range(rng.randint(0, 15))]
-        b = [rng.randint(-(10 ** 25), 10 ** 25) for _ in range(rng.randint(0, 15))]
-        n = rng.randint(0, 25)
-        assert ext.mul_trunc(a, b, n) == pyk.mul_trunc(a, b, n)
-    c = [-1] + [rng.randint(-9, 9) for _ in range(20)]
-    assert ext.inverse_unit(c, 21) == pyk.inverse_unit(c, 21)
-
-
 def test_selected_backend_is_exposed():
-    assert kernels.BACKEND in ("python", "ext")
+    assert bpskit.kernel_backend == "python"
     for name in ("mul_trunc", "inverse_unit", "mul_sparse_unit_inplace", "axpy_shift"):
         assert callable(getattr(kernels, name))

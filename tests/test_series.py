@@ -1,7 +1,9 @@
 """Series engine: Laurent polynomials, windowed series, products."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bpskit import (
@@ -20,7 +22,7 @@ from bpskit import (
     series_arith,
     series_inverse,
 )
-from bpskit.series import _expand_product
+from bpskit.series import _add_binom_row, _expand_product, _pack, _unpack
 from conftest import eta_power_sigma, laurent_terms, naive_mul, trunc_series, unit_series
 
 
@@ -344,3 +346,61 @@ class TestProducts:
         # int() would read these as e = -1 and a = 1
         with pytest.raises(TypeError):
             product_family(factors, order)
+
+
+def _binom(p, k):
+    """C(p, k) for any integer p."""
+    return math.comb(p, k) if p >= 0 else (-1) ** k * math.comb(k - p - 1, k)
+
+
+@st.composite
+def binom_rows(draw):
+    """(p, s, coef, i, before): the list length and the start index vary,
+    so some rows stop at k = p and others at the end of the list."""
+    length = draw(st.integers(0, 80))
+    return (draw(st.integers(-60, 60)), draw(st.sampled_from((1, -1))),
+            draw(st.integers(-10 ** 40, 10 ** 40)), draw(st.integers(0, length + 2)),
+            draw(st.lists(st.integers(-99, 99), min_size=length, max_size=length)))
+
+
+class TestBinomRow:
+    @given(binom_rows())
+    @settings(max_examples=300, deadline=None)
+    @example((5, 1, 7, 2, [0] * 30))  # cut at k = p, inside the list
+    @example((-2, -1, 3, 4, [1] * 10))  # cut by the end of the list
+    @example((4, 1, 1, 3, [0] * 4))  # the start index is the last entry
+    def test_row_matches_math_comb(self, case):
+        p, s, coef, i, before = case
+        acc = list(before)
+        _add_binom_row(acc, i, coef, p, s)
+        want = list(before)
+        for k in range(len(before) - i):
+            want[i + k] += coef * _binom(p, k) * s ** k
+        assert acc == want
+
+
+class TestSlotCodec:
+    @given(st.sampled_from((1, 2, 9)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_signed_round_trip(self, nbytes, data):
+        half = 1 << (8 * nbytes - 1)
+        ends = st.sampled_from((-half, half - 1))
+        values = data.draw(st.lists(st.one_of(ends, st.integers(-half, half - 1)), max_size=40))
+        assert _unpack(_pack(values, nbytes), len(values), nbytes, True) == (values, 0)
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 9])
+    def test_slot_range_ends(self, nbytes):
+        half = 1 << (8 * nbytes - 1)
+        values = [-half, half - 1, 0, -half, -1, half - 1]
+        assert _unpack(_pack(values, nbytes), len(values), nbytes, True)[0] == values
+
+    @given(st.sampled_from((1, 2, 9)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_unsigned_overflow_shows(self, nbytes, data):
+        b = 8 * nbytes
+        values = data.draw(st.lists(st.integers(0, (1 << b) - 1), min_size=1, max_size=20))
+        k = data.draw(st.integers(0, len(values) - 1))
+        values[k] += data.draw(st.integers(1 << b, 1 << (2 * b + 3)))  # one slot overflows
+        p = sum(v << (b * j) for j, v in enumerate(values))
+        slots, above = _unpack(p, len(values), nbytes, False)
+        assert above or sum(slots) != sum(values)
