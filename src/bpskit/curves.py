@@ -249,8 +249,8 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
             f"pairs series to q^{order} needs the punctual series exact through "
             f"q^{order + g - 1}; window stops at q^{signed.order}"
         )
-    if order < 1 - g:  # the (1+q)^E factor's window [0, order + g - 1] is empty
-        raise ValueError("order must be non-negative")
+    if order < 1 - g:
+        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
     # the signed series is dense from its constant term 1
     out = _times_one_plus_q_pow(signed.coeff_list(), -e_smooth, order + g)
     return PairsSeries(TruncSeries._raw(1 - g, out, order), g)

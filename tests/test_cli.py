@@ -148,6 +148,13 @@ class TestCurveVerbs:
                            "--order", "5")
         assert code == 3 and "mu" in err
 
+    def test_stratify_order_below_the_base_exponent(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(NODE_GERM)))
+        code, out, err = cli(capsys, "curve", "stratify", "--g", "2", "--euler0", "-2",
+                             "--order", "-2")
+        assert (code, out) == (3, "")
+        assert "order -2 is below the base exponent -1" in err
+
 
 class TestK3Verbs:
     def test_yz_csv(self, capsys):
