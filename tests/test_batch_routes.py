@@ -93,10 +93,10 @@ def sweep() -> list:
 
 
 def test_sweep_digest():
-    # recorded from the peel-based validate_ggtc, the per-subset nodal loop
-    # and the schoolbook (1+q)^E product, then re-recorded when a stratify
-    # window below q^(1-g) became InsufficientWindow instead of ValueError
-    # (11 stratify records changed, nothing else)
+    # the digest of the replaced routes (the peel-based validate_ggtc, the
+    # per-subset nodal loop, the schoolbook (1+q)^E product), except that a
+    # stratify window below q^(1-g) raises InsufficientWindow; re-record it
+    # only after diffing the sweep() JSON of both sides
     text = json.dumps(sweep(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
 

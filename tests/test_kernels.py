@@ -8,6 +8,7 @@ import pytest
 import bpskit
 from bpskit import kernels
 
+
 def _reference_conv(a, b, n):
     out = [0] * n
     for i, ai in enumerate(a):
