@@ -6,7 +6,8 @@ precondition failure such as a window that is too short; 70 an internal
 error (a bug), reported with its traceback; 74 the output could not be
 written (a closed pipe, a missing directory), reported in one line.
 
-All JSON output is emitted with sorted keys so identical inputs give
+All JSON output has the bytes of json.dumps(obj, sort_keys=True,
+indent=2), for integers of any size, so identical inputs give
 byte-identical bytes.
 """
 
@@ -31,7 +32,7 @@ from .curves import (
 )
 from .errors import InputError, PreconditionError, ValidationError
 from .k3 import _kkv_table, ky_series, signed_conversion_check, yau_zaslow
-from .series import TruncSeries, _int_strs, _json_int, eta_power
+from .series import TruncSeries, _big_int, _int_str, _int_strs, _json_int, eta_power
 
 
 def _read_text(path: str) -> str:
@@ -47,7 +48,12 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     text = _read_text(path)
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # a JSON number past the int <-> str digit cap
+            return json.loads(text, parse_int=_big_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
@@ -70,9 +76,66 @@ class _Out:
             self.f.close()
 
 
+_esc = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) of a tree of dicts with
+    str keys, lists, str, int, bool and None, for ints of any size; pad is
+    the newline and indent of obj's own line."""
+    t = type(obj)
+    if t is str:
+        return _esc(obj)
+    if t is int:
+        return _int_str(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        body = []
+        for k in sorted(obj):
+            v = obj[k]
+            tv = type(v)  # str and int values inline: most rows hold only those
+            body.append(_esc(k) + ": " + (_esc(v) if tv is str else _int_str(v) if tv is int
+                                          else _json_text(v, inner)))
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        try:
+            body = list(map(_esc, obj))  # a list of str, one C call
+        except TypeError:
+            body = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _write_json(obj, f, pad: str = "\n", depth: int = 2):
+    """Write the bytes of json.dump(obj, f, sort_keys=True, indent=2).
+
+    The top `depth` container levels go out one element at a time, so the
+    whole document is never held as one string; below them, and for a
+    list of str at any depth, a value is built as one string.
+    """
+    t = type(obj)
+    if not (depth and obj and (t is dict or t is list and {*map(type, obj)} != {str})):
+        f.write(_json_text(obj, pad))
+        return
+    inner = pad + "  "
+    sep = ("{" if t is dict else "[") + inner
+    for k in sorted(obj) if t is dict else range(len(obj)):
+        f.write(sep + _esc(k) + ": " if t is dict else sep)
+        _write_json(obj[k], f, inner, depth - 1)
+        sep = "," + inner
+    f.write(pad + ("}" if t is dict else "]"))
+
+
 def _emit_json(obj, out: str):
     with _Out(out) as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
+        _write_json(obj, f)
         f.write("\n")
 
 
@@ -335,15 +398,20 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # the output (or stdin) failed, not bpskit
-        if isinstance(exc, BrokenPipeError):
-            _drop_stdout()
-        print(f"error: {exc}", file=sys.stderr)
-        return 74  # EX_IOERR
+        return _io_error(exc)
     except Exception:
         import traceback  # only on this path: it adds to every start-up otherwise
 
         traceback.print_exc()
         return 70  # EX_SOFTWARE
+
+
+def _io_error(exc: OSError) -> int:
+    """Report a failed read or write in one line; the exit code."""
+    if isinstance(exc, BrokenPipeError):
+        _drop_stdout()
+    print(f"error: {exc}", file=sys.stderr)
+    return 74  # EX_IOERR
 
 
 def _drop_stdout():
@@ -359,4 +427,18 @@ def _drop_stdout():
 
 
 def main():
-    sys.exit(run())
+    """The console script and `python -m bpskit`: run(), flush, then end
+    the process without tearing the interpreter down.  _Out has closed
+    any --out file, and bpskit registers no atexit handler."""
+    code = run()
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:  # output run() left buffered, such as --version's
+        code = _io_error(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)

@@ -272,6 +272,69 @@ class TestDeterminism:
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+# Out-of-range arguments that the engines reject with a bare ValueError;
+# run() must report each as malformed input: exit 2, one error line.
+OUT_OF_RANGE = [
+    ("k3", "ky", "--hmax", "-1", "--yorder", "5"),
+    ("k3", "kkv", "--hmax", "-1"),
+    ("series", "eta", "--order", "-1"),
+    ("bps", "recompose", "--g", "1", "--n", "1"),
+    ("hilb", "decompose", "--g", "-1"),
+    ("curve", "nonsingular", "--g", "-1", "--chi", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_out_of_range_arguments_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(series_json(0, [1, 2, 3, 4]))))
+    code, out, err = cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestProcessExit:
+    """main() ends the process with os._exit; each run is a real process,
+    since os._exit would end pytest itself."""
+
+    def test_out_file_is_complete(self, capsys, tmp_path):
+        argv = ("k3", "ky", "--hmax", "30", "--yorder", "400")
+        target = tmp_path / "ky.json"
+        proc = _bpskit(*argv, "--out", str(target), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0 and target.read_text() == out
+
+    def test_piped_stdout_is_complete(self, capsys):
+        argv = ("k3", "kkv", "--hmax", "40")
+        proc = _bpskit(*argv, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0 and proc.stdout == out and len(out) > 8192  # past one stdout buffer
+
+    def test_version(self, capsys):
+        proc = _bpskit("--version", capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == cli(capsys, "--version")[:2]
+
+    def test_flush_after_run_into_a_pipe_without_a_reader(self):
+        # --version leaves its line in stdout's buffer (argparse ignores a
+        # failed write, so stdout must be buffered), and the flush in main()
+        # fails
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _bpskit("--version", stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(w)
+        assert proc.returncode == 74
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_error_line_and_status(self):
+        proc = _bpskit("series", "eta", "--order", "-1", capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: order must be non-negative\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bpskit", "k3", "yz", "--hmax", "3"],

@@ -19,7 +19,7 @@ from bpskit import (
     SingularityGerm,
     TruncSeries,
 )
-from bpskit.cli import _series_csv
+from bpskit.cli import _series_csv, run
 from bpskit.series import _json_int
 
 BAD = [1.9, 2.0, -3.0, True, False, None, [1], {"a": 1},
@@ -191,3 +191,27 @@ def test_csv_writers_past_the_limit(capsys):
     KkvTable(0, {(0, 0): -HUGE}).write_csv(out)
     head, row = out.getvalue().splitlines()
     assert head == "g,h,r_gh" and Decimal(row.split(",")[2]) == Decimal(-HUGE)
+
+
+def _decompose(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code = run(["bps", "decompose", "--g", "1"])
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+@pytest.mark.parametrize("tail", [",1,2", ",0,0"], ids=["rejected", "decomposed"])
+def test_json_numbers_past_the_limit_read_as_their_strings(capsys, monkeypatch, tail):
+    big = "1" * 5000
+    as_number = _decompose(capsys, monkeypatch, f'{{"min_exp":0,"order":2,"coeffs":[{big}{tail}]}}')
+    as_string = _decompose(capsys, monkeypatch, f'{{"min_exp":0,"order":2,"coeffs":["{big}"{tail}]}}')
+    assert as_number == as_string
+    if tail == ",1,2":
+        assert as_number[0] == 1 and "residual" in as_number[2]
+    else:  # q^0 is the genus-1 basis element of r = 1
+        assert as_number[0] == 0 and f"\n    {big}\n" in as_number[1]
+
+
+def test_invalid_json_after_a_number_past_the_limit(capsys, monkeypatch):
+    code, out, err = _decompose(capsys, monkeypatch, '{"coeffs":[' + "1" * 5000 + ",}")
+    assert code == 2 and out == "" and "invalid JSON" in err
