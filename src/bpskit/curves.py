@@ -237,6 +237,8 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
     one packed product.  The germ's Milnor number must satisfy
     mu = (2 - 2g) - e_smooth.
     """
+    if g < 0:
+        raise ValueError("g must be non-negative")
     expected = milnor_from_geometry(g, e_smooth)
     if germ.mu != expected:
         raise MilnorMismatch(

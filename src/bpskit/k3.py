@@ -26,13 +26,12 @@ running sums.
 
 from __future__ import annotations
 
-import csv
 from math import comb
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow
 from .series import (BiSeries, LaurentPoly, TruncSeries, _int_strs, _json_int, _Record, _unpack,
-                     eta_power)
+                     _write_csv, eta_power)
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -179,11 +178,10 @@ class KkvTable(_Record):
             raise InputError(f"bad table JSON: {exc}") from None
 
     def write_csv(self, stream):
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(["g", "h", "r_gh"])
         items = self.sorted_items()
         values = _int_strs([v for _gh, v in items])
-        w.writerows([g, h, r] for ((g, h), _v), r in zip(items, values))
+        _write_csv(stream, ("g", "h", "r_gh"),
+                   [(g, h, r) for ((g, h), _v), r in zip(items, values)])
 
 
 class K3PairsSeries(_Record):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Mapping
+from itertools import islice
 
 from . import kernels
 from .errors import EmptyWindow, InputError, InsufficientWindow, NonUnitLeading
@@ -79,6 +80,18 @@ def _int_strs(xs) -> list:
         return list(map(str, xs))
     except ValueError:
         return [_int_str(x) for x in xs]
+
+
+def _write_csv(stream, head, rows):
+    """Write head and rows (tuples of str, or of ints under the digit cap)
+    as comma-separated lines, 4096 rows per write: the bytes of
+    csv.writer(stream, lineterminator="\n"), since fields of digits and
+    '-' need no quoting."""
+    stream.write(",".join(head) + "\n")
+    line = ",".join(["%s"] * len(head)) + "\n"
+    rows = iter(rows)
+    while lines := [line % row for row in islice(rows, 4096)]:
+        stream.write("".join(lines))
 
 
 def _json_int(x, what="coefficient"):

@@ -2,6 +2,7 @@
 byte-determinism of the JSON output."""
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -11,8 +12,11 @@ import subprocess
 import sys
 from decimal import Decimal
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+from bpskit import __version__
 from bpskit import cli as cli_module
 from bpskit.cli import build_parser, run
 
@@ -281,12 +285,21 @@ OUT_OF_RANGE = [
     ("bps", "recompose", "--g", "1", "--n", "1"),
     ("hilb", "decompose", "--g", "-1"),
     ("curve", "nonsingular", "--g", "-1", "--chi", "1"),
+    ("k3", "yz", "--hmax", "-1"),
+    ("k3", "signed-check", "--hmax", "-1", "--yorder", "5"),
+    ("k3", "ky", "--hmax", "2", "--yorder", "-1"),
+    ("bps", "decompose", "--g", "-1"),
+    ("bps", "validate", "--g", "-1"),
+    ("curve", "stratify", "--g", "-1", "--euler0", "0"),
+    ("curve", "stratify", "--g", "-1", "--euler0", "4"),
+    ("curve", "stratify", "--g", "-1", "--euler0", "4", "--order", "3"),
 ]
 
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
 def test_out_of_range_arguments_exit_2(capsys, monkeypatch, argv):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(series_json(0, [1, 2, 3, 4]))))
+    doc = NODE_GERM if argv[0] == "curve" else series_json(0, [1, 2, 3, 4])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, out, err = cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -315,11 +328,13 @@ class TestProcessExit:
         proc = _bpskit("--version", capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == cli(capsys, "--version")[:2]
 
-    def test_flush_after_run_into_a_pipe_without_a_reader(self):
-        # --version leaves its line in stdout's buffer (argparse ignores a
-        # failed write, so stdout must be buffered), and the flush in main()
-        # fails
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_flush_after_run_into_a_pipe_without_a_reader(self, unbuffered):
+        # buffered, --version leaves its line in stdout's buffer and the
+        # flush in main() fails; unbuffered, the write itself fails
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         r, w = os.pipe()
         os.close(r)
         try:
@@ -371,18 +386,11 @@ def _argv(verb, required, flag, value):
 class TestIntegerFlags:
     def test_table_names_every_typed_flag(self):
         typed = set()
-        for group in build_parser()._actions:
-            if not isinstance(group, argparse._SubParsersAction):
-                continue
-            for gname, gparser in group.choices.items():
-                for verbs in gparser._actions:
-                    if not isinstance(verbs, argparse._SubParsersAction):
-                        continue
-                    for vname, vparser in verbs.choices.items():
-                        for action in vparser._actions:
-                            if action.type is not None:
-                                assert action.type is cli_module._integer
-                                typed.add(((gname, vname), action.option_strings[0]))
+        for verb, (_fn, flags) in cli_module._VERBS.items():
+            for flag, (kind, _default) in flags.items():
+                if kind is not str and type(kind) is not tuple:  # not a string, not choices
+                    assert kind is cli_module._integer
+                    typed.add((verb, flag))
         assert typed == {(verb, flag) for verb, _req, flag in INT_CASES}
 
     @pytest.mark.parametrize("bad", [" 1", "1_0", "+1", "\uff11", "1.0"])
@@ -441,6 +449,13 @@ class TestOutputFailures:
             os.close(w)
         self._assert_io_error(proc.returncode, proc.stderr)
 
+    @pytest.mark.parametrize("argv", [("--version",), ("k3", "yz", "--hmax", "3")], ids=" ".join)
+    def test_no_stdout(self, argv):
+        # a process started without fd 1 has sys.stdout None
+        proc = _bpskit(*argv, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+        self._assert_io_error(proc.returncode, proc.stderr)
+        assert proc.stderr == "error: stdout is closed\n"
+
     def test_missing_output_directory(self, tmp_path):
         target = tmp_path / "missing" / "x.json"
         proc = _bpskit("k3", "yz", "--hmax", "3", "--out", str(target),
@@ -461,3 +476,108 @@ def test_coefficients_past_the_digit_limit(capsys):
     assert all(want[k] == math.comb(15998, k) for k in [*range(0, 8000, 250), 7999])
     # Decimal reads and compares integers without the int <-> str digit limit
     assert [Decimal(c) for c in coeffs] == [Decimal(v) for v in want]
+
+
+# -- the grammar against argparse --------------------------------------------
+
+
+def _argparse_oracle():
+    """The argparse tree of the same verb table: the grammar the table
+    parser must keep."""
+    ap = argparse.ArgumentParser(prog="bpskit")
+    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    groups = ap.add_subparsers(dest="group", required=True)
+    verbs = {}
+    for (group, verb), (fn, flags) in cli_module._VERBS.items():
+        if group not in verbs:
+            verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
+        p = verbs[group].add_parser(verb)
+        for flag, (kind, default) in flags.items():
+            kw = {"choices": kind} if type(kind) is tuple else {"type": kind}
+            if default is cli_module._REQUIRED:
+                kw["required"] = True
+            else:
+                kw["default"] = default
+            p.add_argument(flag, dest="infile" if flag == "--in" else flag[2:], **kw)
+        p.set_defaults(fn=fn)
+    return ap
+
+
+ORACLE = _argparse_oracle()
+VERBS_OF = {}
+for _group, _verb in cli_module._VERBS:
+    VERBS_OF.setdefault(_group, []).append(_verb)
+# flag values: integers, '-', texts that look like options or negative
+# numbers, texts that _integer rejects, and --format choices
+VALUES = ["0", "7", "12", "-3", "0", "7", "-", "", " 1", "1_0", "+1", "１", "1.0", "-1.5",
+          "x", "json", "csv", "xml", "out.json", "-x", "1,2", "-1,2", "--in", "a b"]
+
+
+@st.composite
+def command_lines(draw):
+    group = draw(st.sampled_from([*VERBS_OF, "bogus"]))
+    verb = draw(st.sampled_from([*VERBS_OF.get(group, ()), "bogus"]))
+    flags = list(cli_module._VERBS.get((group, verb), (None, {}))[1])
+    names = [*flags, *flags, *flags, "--help", "--frmt", "-x", "-h"]
+    tail = []
+    for _ in range(draw(st.integers(0, 7))):
+        name = draw(st.sampled_from(names))
+        if name.startswith("--"):  # the full name or a prefix, unique or not
+            name = name[:draw(st.integers(3, len(name)))]
+        value = draw(st.sampled_from(VALUES))
+        glue = draw(st.sampled_from(["next", "next", "=", "none"]))
+        tail += [name, value] if glue == "next" else [name + "=" + value] if glue == "=" else [name]
+    head = draw(st.sampled_from([[]] * 6 + [["--version"], ["-h"], ["--frmt"], ["--ver"]]))
+    kept = draw(st.sampled_from([2] * 8 + [0, 1]))  # sometimes no verb, or no group
+    return [*head, *[group, verb][:kept], *tail]
+
+
+def _outcome(parse, argv):
+    """(the namespace as a dict, or the exit code; stdout; stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+@example(argv=["series", "eta", "--ord=6", "--exp", "-1", "--form", "csv"])  # prefixes and =
+@example(argv=["k3", "yz", "--hmax", "3", "--hmax", "-4"])  # the last of a repeated flag wins
+@example(argv=["bps", "recompose", "--g", "1", "--n", "-1"])  # a negative number is a value,
+@example(argv=["bps", "recompose", "--g", "1", "--n", "-1,2"])  # -1,2 an unknown option
+@example(argv=["bps", "recompose", "--g", "1", "--n=-1,2"])
+@example(argv=["curve", "nodal", "--in", "-", "--out", "-"])
+@example(argv=["k3", "yz", "--h", "3"])  # --help or --hmax
+@example(argv=["k3", "ky", "--hmax", "2"])  # --yorder missing
+@example(argv=["k3", "kkv", "--hmax", "2", "--format", "xml"])
+@example(argv=["k3", "kkv", "--hmax", "2", "extra"])
+@example(argv=["k3", "kkv", "--hmax", "2", "--"])
+@example(argv=["k3", "kkv", "--hmax", "x"])
+@example(argv=["k3", "bogus"])
+@example(argv=[])
+def test_parser_matches_argparse(argv):
+    want, want_out, _ = _outcome(ORACLE.parse_args, argv)
+    got, out, err = _outcome(build_parser().parse_args, argv)
+    assert got == want
+    if want == 2:  # rejected: nothing on stdout, a usage line and an error line
+        assert out == ""
+        assert err.startswith("usage: bpskit") and err.count("\n") == 2, err
+        assert ": error: " in err.splitlines()[1]
+    elif want == 0:  # --version prints argparse's line, -h a help page
+        assert out == want_out if want_out.startswith("bpskit ") else out.startswith("usage: bpskit")
+
+
+@pytest.mark.parametrize("argv", [("series", "eta", "--order", "30", "--format", "csv"),
+                                  ("k3", "kkv", "--hmax", "5")], ids=" ".join)
+def test_verb_loads_no_argparse_csv_or_json(argv):
+    script = ("import sys; before = set(sys.modules); from bpskit.cli import run; "
+              f"code = run({list(argv)!r}); sys.stdout.flush(); "
+              "print(code, sorted({'argparse', 'csv', 'json'} & set(sys.modules) - before), "
+              "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stderr == "0 []\n"

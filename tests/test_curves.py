@@ -227,6 +227,12 @@ class TestStratify:
         with pytest.raises(MilnorMismatch):
             stratify_pairs_series(node_germ(8), 1, 1, 5)
 
+    @pytest.mark.parametrize("e_smooth, order", [(0, 5), (4, 14), (4, 3)])
+    def test_negative_genus_is_rejected_first(self, e_smooth, order):
+        # before the Milnor and window checks, which used to decide the error
+        with pytest.raises(ValueError, match="g must be non-negative"):
+            stratify_pairs_series(node_germ(8), e_smooth, -1, order)
+
     def test_punctual_window_guard(self):
         # pairs window to q^5 at genus 1 needs the punctual series through q^5
         with pytest.raises(InsufficientWindow):
