@@ -508,9 +508,12 @@ VERBS_OF = {}
 for _group, _verb in cli_module._VERBS:
     VERBS_OF.setdefault(_group, []).append(_verb)
 # flag values: integers, '-', texts that look like options or negative
-# numbers, texts that _integer rejects, and --format choices
+# numbers, texts that _integer rejects, and --format choices.  The oracle
+# is the argparse of the running Python, so texts whose reading has moved
+# between argparse releases (--, and a '-' and a digit followed by more
+# than a number, such as -1,2) are left out.
 VALUES = ["0", "7", "12", "-3", "0", "7", "-", "", " 1", "1_0", "+1", "１", "1.0", "-1.5",
-          "x", "json", "csv", "xml", "out.json", "-x", "1,2", "-1,2", "--in", "a b"]
+          "x", "json", "csv", "xml", "out.json", "-x", "1,2", "--in", "a b"]
 
 
 @st.composite
@@ -547,15 +550,13 @@ def _outcome(parse, argv):
 @given(argv=command_lines())
 @example(argv=["series", "eta", "--ord=6", "--exp", "-1", "--form", "csv"])  # prefixes and =
 @example(argv=["k3", "yz", "--hmax", "3", "--hmax", "-4"])  # the last of a repeated flag wins
-@example(argv=["bps", "recompose", "--g", "1", "--n", "-1"])  # a negative number is a value,
-@example(argv=["bps", "recompose", "--g", "1", "--n", "-1,2"])  # -1,2 an unknown option
+@example(argv=["bps", "recompose", "--g", "1", "--n", "-1"])  # a negative number is a value
 @example(argv=["bps", "recompose", "--g", "1", "--n=-1,2"])
 @example(argv=["curve", "nodal", "--in", "-", "--out", "-"])
 @example(argv=["k3", "yz", "--h", "3"])  # --help or --hmax
 @example(argv=["k3", "ky", "--hmax", "2"])  # --yorder missing
 @example(argv=["k3", "kkv", "--hmax", "2", "--format", "xml"])
 @example(argv=["k3", "kkv", "--hmax", "2", "extra"])
-@example(argv=["k3", "kkv", "--hmax", "2", "--"])
 @example(argv=["k3", "kkv", "--hmax", "x"])
 @example(argv=["k3", "bogus"])
 @example(argv=[])
