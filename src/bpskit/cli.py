@@ -8,7 +8,8 @@ written (a closed pipe, a missing directory), reported in one line.
 
 All JSON output has the bytes of json.dumps(obj, sort_keys=True,
 indent=2), for integers of any size, so identical inputs give
-byte-identical bytes.
+byte-identical bytes.  The two large K3 records write those bytes
+themselves; everything else goes through one streaming writer.
 
 The command line is `bpskit GROUP VERB --flag value ...`, read from the
 table _VERBS by the rules argparse would apply to it: `--flag=value` too,
@@ -149,8 +150,12 @@ def _write_json(obj, f, pad: str = "\n", depth: int = 2):
 
 
 def _emit_json(obj, out: str):
+    """Write obj, a dict or a record with its own write_json, and a newline."""
     with _Out(out) as f:
-        _write_json(obj, f)
+        if type(obj) is dict:
+            _write_json(obj, f)
+        else:
+            obj.write_json(f)
         f.write("\n")
 
 
@@ -257,7 +262,7 @@ def _cmd_curve_stratify(args):
 
 def _cmd_k3_ky(args):
     """pair-count double series rows"""
-    _emit_json(ky_series(args.hmax, args.yorder).to_json(), args.out)
+    _emit_json(ky_series(args.hmax, args.yorder), args.out)
     return 0
 
 
@@ -268,7 +273,7 @@ def _cmd_k3_kkv(args):
         with _Out(args.out) as f:
             table.write_csv(f)
     else:
-        _emit_json(table.to_json(), args.out)
+        _emit_json(table, args.out)
     return 0
 
 

@@ -13,11 +13,15 @@ triple product F is nonzero only at q^(m(m-1)/2), where its row is
 computes F^-2 from O(sqrt(h)) rows per q-degree.  Each row is held as
 one Python int with b bits a slot (Kronecker substitution; Harvey,
 arXiv:0712.4046), so a row times a row is one big-int multiply.  The
-same code run with b = 0 evaluates every row at z = 1; those sums bound
-every coefficient, fix b and check each unpacked row.
+row's value at z = 1 bounds every coefficient, fixes b and checks each
+unpacked row.  At z = 1, F = E^3, so those values are the Yau-Zaslow
+counts [q^h] E^-24: a z-row whose |coefficients| do not sum to them
+fails the identity, whether a slot overflowed or the engine is wrong.
 
 The genus table comes from the same engine on rows in
-t = z - 2 + z^-1, where r_(g,h) = (-1)^g [t^g q^h]: no peel runs.
+t = z - 2 + z^-1, where r_(g,h) = (-1)^g [t^g q^h]: no peel runs.  Its
+slot bound is the same code run with b = 0 (at t = 1), and its t^0 slot
+is the value at z = 1, so the genus-0 column is checked against E^-24.
 `kkv_decompose` remains the public peel for an arbitrary product.
 The pair counts and the alternating product of the signed check are
 the z-rows times y (1-y)^-2 and y (1+y)^-2, which is a shift and two
@@ -26,12 +30,14 @@ running sums.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import comb
+from operator import neg
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow
-from .series import (BiSeries, LaurentPoly, TruncSeries, _int_strs, _json_int, _Record, _unpack,
-                     _write_csv, eta_power)
+from .series import (BiSeries, LaurentPoly, TruncSeries, _as_int, _int_str, _int_strs, _json_int,
+                     _Record, _unpack, _write_csv, _write_lines, eta_power)
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -80,24 +86,26 @@ def _theta_packed(h_max: int, c: int, t: bool, b: int) -> list[int]:
 
 
 def _unpack_rows(packed: list[int], sums: list[int], nbytes: int, signed: bool,
-                 t: bool) -> list[list[int]]:
+                 t: bool, identity: bool = False) -> list[list[int]]:
     """Slot lists of packed rows with nbytes bytes a slot (series._unpack).
 
     Row h has h + 1 slots in t, 2h + 1 in z.  The absolute values of each
-    row must sum to its b = 0 value in sums, with no bits left above the
-    top slot, or ArithmeticError names the row.  An unsigned row that
+    row must sum to its value in sums, with no bits left above the top
+    slot, or ArithmeticError names the row.  An unsigned row that
     overflowed a slot always fails: each carry lowers the slot sum by
-    2^b - 1.
+    2^b - 1.  sums is the b = 0 run, or with identity the z = 1 values
+    [q^h] E^-24.
     """
     rows = []
     for h, (p, want) in enumerate(zip(packed, sums)):
         row, above = _unpack(p, h + 1 if t else 2 * h + 1, nbytes, signed)
         got = sum(map(abs, row))
         if got != want or above:
-            raise ArithmeticError(
-                f"theta engine: q^{h} row does not fit {8 * nbytes}-bit slots: unpacked "
-                f"|coefficients| sum to {got}, the b = 0 run gives {want}"
-            )
+            fails, source = (("fails the z = 1 identity sum_j [z^j q^h] E^-18 F^-2 = "
+                              "[q^h] E^-24", f"[q^{h}] E^-24 is") if identity else
+                             (f"does not fit {8 * nbytes}-bit slots", "the b = 0 run gives"))
+            raise ArithmeticError(f"theta engine: q^{h} row {fails}: unpacked "
+                                  f"|coefficients| sum to {got}, {source} {want}")
         rows.append(row)
     return rows
 
@@ -107,37 +115,74 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
 
     Every coefficient at c = +1 is >= 0 (in t too, since
     (1 - z q^n)(1 - z^-1 q^n) = (1 - q^n)^2 - t q^n), and c = -1 only
-    flips signs, so a row's b = 0 value bounds each of its coefficients.
+    flips signs, so a row's value at z = 1 (at t = 1 if t) bounds each of
+    its coefficients.  z-rows take those values from E^-24; t-rows from
+    the b = 0 run, and their t^0 slots must equal E^-24.
     """
-    sums = _theta_packed(h_max, 1, t, 0)
+    yz = eta_power(-24, h_max).coeff_list()
+    sums = _theta_packed(h_max, 1, t, 0) if t else yz
     nbytes = (max(sums).bit_length() + (c < 0) + 7) // 8
-    return _unpack_rows(_theta_packed(h_max, c, t, 8 * nbytes), sums, nbytes, c < 0, t)
+    rows = _unpack_rows(_theta_packed(h_max, c, t, 8 * nbytes), sums, nbytes, c < 0, t,
+                        identity=not t)
+    if t and [row[0] for row in rows] != yz:
+        h = next(h for h, row in enumerate(rows) if row[0] != yz[h])
+        raise ArithmeticError(
+            f"theta engine: q^{h} row fails the genus-0 identity [t^0 q^h] E^-18 F^-2 = "
+            f"[q^h] E^-24: its t^0 slot holds {rows[h][0]}, [q^{h}] E^-24 is {yz[h]}"
+        )
+    return rows
+
+
+def _h_max(h_max) -> int:
+    h_max = _as_int(h_max, "h_max")
+    if h_max < 0:
+        raise ValueError("h_max must be non-negative")
+    return h_max
+
+
+def _ky_window(h_max, y_order) -> tuple[int, int]:
+    h_max = _h_max(h_max)
+    if _as_int(y_order, "y_order") < 1:
+        raise ValueError("y_order must be at least 1")
+    return h_max, y_order
 
 
 def _kkv_table(h_max: int) -> "KkvTable":
     """Genus table r_(g,h) = (-1)^g [t^g q^h] E^-18 F^-2 through q^h_max."""
-    if h_max < 0:
-        raise ValueError("h_max must be non-negative")
+    h_max = _h_max(h_max)
     rows = {}
     for h, row in enumerate(_theta_rows(h_max, t=True)):
-        for g, v in enumerate(row):
-            rows[(g, h)] = -v if g % 2 else v
+        row[1::2] = map(neg, row[1::2])
+        rows.update(zip(zip(range(h + 1), repeat(h)), row))
     return KkvTable(h_max, rows)
 
 
-def _ky_rows(h_max: int, y_order: int, c: int) -> tuple[LaurentPoly, ...]:
+def _ky_dense(h_max: int, y_order: int, c: int) -> list[list[int]]:
     """Rows of y (1 - c y)^-2 prod (1-q^n)^-20 (1 - c y q^n)^-2 (1 - c y^-1 q^n)^-2,
-    each exact on y-exponents [1-h, y_order]."""
+    row h as the list of its coefficients at y^(1-h) .. y^y_order."""
     out = []
     for h, row in enumerate(_theta_rows(h_max, c)):
         size = y_order + h  # y-exponents -h .. y_order - 1, before the shift by y
-        dense = (row + [0] * size)[:size]
-        for _ in range(2):  # divide by (1 - c y) twice
-            acc = 0
-            for i, v in enumerate(dense):
-                acc = v + c * acc
-                dense[i] = acc
-        out.append(LaurentPoly._raw({i + 1 - h: v for i, v in enumerate(dense) if v}))
+        dense = row[:size] + [0] * (size - len(row))
+        # divide by (1 - y) twice: two running sums.  (1 + y)^-1 is that
+        # with y -> -y, so for c = -1 the odd slots flip before and after.
+        if c < 0:
+            dense[1::2] = map(neg, dense[1::2])
+        dense = list(accumulate(accumulate(dense)))
+        if c < 0:
+            dense[1::2] = map(neg, dense[1::2])
+        out.append(dense)
+    return out
+
+
+def _ky_rows(h_max: int, y_order: int, c: int) -> tuple[LaurentPoly, ...]:
+    """The rows of _ky_dense as Laurent polynomials in y."""
+    out = []
+    for h, dense in enumerate(_ky_dense(h_max, y_order, c)):
+        terms = dict(zip(range(1 - h, y_order + 1), dense))
+        if 0 in dense:
+            terms = {n: v for n, v in terms.items() if v}
+        out.append(LaurentPoly._raw(terms))
     return tuple(out)
 
 
@@ -160,13 +205,25 @@ class KkvTable(_Record):
     def sorted_items(self):
         return sorted(self.rows.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
-    def to_json(self) -> dict:
+    def _text_rows(self) -> list:
+        """(g, h, the text of r_(g,h)) in (h, g) order."""
         items = self.sorted_items()
         values = _int_strs([v for _gh, v in items])
+        return [(g, h, r) for ((g, h), _v), r in zip(items, values)]
+
+    def to_json(self) -> dict:
         return {
             "h_max": self.h_max,
-            "rows": [{"g": g, "h": h, "r": r} for ((g, h), _v), r in zip(items, values)],
+            "rows": [{"g": g, "h": h, "r": r} for g, h, r in self._text_rows()],
         }
+
+    def write_json(self, stream):
+        """Write the bytes of json.dump(self.to_json(), stream,
+        sort_keys=True, indent=2), 4096 rows per write."""
+        stream.write('{\n  "h_max": %s,\n  "rows": [' % _int_str(self.h_max))
+        _write_lines(stream, '\n    {\n      "g": %s,\n      "h": %s,\n      "r": "%s"\n    }',
+                     self._text_rows(), ",")
+        stream.write("\n  ]\n}" if self.rows else "]\n}")
 
     @classmethod
     def from_json(cls, obj) -> "KkvTable":
@@ -178,10 +235,7 @@ class KkvTable(_Record):
             raise InputError(f"bad table JSON: {exc}") from None
 
     def write_csv(self, stream):
-        items = self.sorted_items()
-        values = _int_strs([v for _gh, v in items])
-        _write_csv(stream, ("g", "h", "r_gh"),
-                   [(g, h, r) for ((g, h), _v), r in zip(items, values)])
+        _write_csv(stream, ("g", "h", "r_gh"), self._text_rows())
 
 
 class K3PairsSeries(_Record):
@@ -214,6 +268,34 @@ class K3PairsSeries(_Record):
             "rows": [p.to_json() for p in self.rows],
         }
 
+    def write_json(self, stream):
+        """Write the bytes of json.dump(self.to_json(), stream,
+        sort_keys=True, indent=2), one row per write.
+
+        A row's terms go out in the order of their keys' text.  That order
+        and each key's text are fixed once per document; a row then picks
+        its own exponents from the order and formats its values in one
+        string-format call.
+        """
+        rows = self.rows
+        order = sorted(set().union(*[p._terms for p in rows]), key=_int_str)
+        text = {n: '\n        "%s": "%%s",' % _int_str(n) for n in order}
+        stream.write('{\n  "h_max": %s,\n  "rows": [' % _int_str(self.h_max))
+        sep = "\n    "
+        for p in rows:
+            terms = p._terms
+            keys = list(filter(terms.__contains__, order))
+            form = "".join(map(text.__getitem__, keys))[:-1]  # without its last ','
+            values = tuple(map(terms.__getitem__, keys))
+            try:
+                body = form % values
+            except ValueError:  # a number past the int -> str digit cap
+                body = form % tuple(_int_strs(values))
+            stream.write(sep + ('{\n      "terms": {' + body + '\n      }\n    }' if keys
+                                else '{\n      "terms": {}\n    }'))
+            sep = ",\n    "
+        stream.write(("\n  ]" if rows else "]") + ',\n  "y_order": %s\n}' % _int_str(self.y_order))
+
 
 def ky_series(h_max: int, y_order: int) -> K3PairsSeries:
     """Double series of pair-moduli Euler characteristics for primitive
@@ -222,19 +304,14 @@ def ky_series(h_max: int, y_order: int) -> K3PairsSeries:
     Equals y (1-y)^-2 prod_{n>=1} (1-q^n)^-20 (1-y q^n)^-2 (1-y^-1 q^n)^-2;
     the q^0 row is y (1-y)^-2 itself.
     """
-    if h_max < 0:
-        raise ValueError("h_max must be non-negative")
-    if y_order < 1:
-        raise ValueError("y_order must be at least 1")
+    h_max, y_order = _ky_window(h_max, y_order)
     return K3PairsSeries(_ky_rows(h_max, y_order, 1), y_order)
 
 
 def kkv_product(h_max: int) -> BiSeries:
     """prod_{n>=1} (1-q^n)^-20 (1-z q^n)^-2 (1-z^-1 q^n)^-2 through q^h_max."""
-    if h_max < 0:
-        raise ValueError("h_max must be non-negative")
     return BiSeries(LaurentPoly._raw({j - h: v for j, v in enumerate(row) if v})
-                    for h, row in enumerate(_theta_rows(h_max)))
+                    for h, row in enumerate(_theta_rows(_h_max(h_max))))
 
 
 def kkv_decompose(B: BiSeries) -> KkvTable:
@@ -265,9 +342,7 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
 
 def yau_zaslow(h_max: int) -> TruncSeries:
     """Rational-curve counts in primitive classes: prod (1-q^n)^-24."""
-    if h_max < 0:
-        raise ValueError("h_max must be non-negative")
-    return eta_power(-24, h_max)
+    return eta_power(-24, _h_max(h_max))
 
 
 class SignedCheckReport(_Record):
@@ -297,21 +372,19 @@ def signed_conversion_check(h_max: int, y_order: int, tamper=None) -> SignedChec
 
     tamper, if given, is (h, n, delta): the unsigned count at y^n q^h is
     bumped by delta before signing, so a single-coefficient fault is
-    guaranteed to be reported as that (h, n).
+    guaranteed to be reported as that (h, n); outside the window
+    1 - h <= n <= y_order, h <= h_max it changes nothing.
     """
-    ky = ky_series(h_max, y_order)
-    alt = _ky_rows(h_max, y_order, -1)
+    h_max, y_order = _ky_window(h_max, y_order)
     first = None
-    for h in range(h_max + 1):
-        got = dict(ky.rows[h].items())
-        if tamper and tamper[0] == h:
-            got[tamper[1]] = got.get(tamper[1], 0) + tamper[2]
-        want = alt[h]
-        for n in range(1 - h, y_order + 1):
-            c = got.get(n, 0)
-            if (c if n % 2 else -c) != want.coeff(n):
-                first = (h, n)
-                break
-        if first is not None:
+    for h, (got, want) in enumerate(zip(_ky_dense(h_max, y_order, 1),
+                                        _ky_dense(h_max, y_order, -1))):
+        if tamper and tamper[0] == h and 1 - h <= tamper[1] <= y_order:
+            got[tamper[1] + h - 1] += tamper[2]
+        s = (h + 1) % 2  # the slots of even n, where (-1)^(n-1) is -1
+        got[s::2] = map(neg, got[s::2])
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            first = (h, i + 1 - h)
             break
     return SignedCheckReport(first is None, first, h_max, y_order)

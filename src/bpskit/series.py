@@ -88,10 +88,16 @@ def _write_csv(stream, head, rows):
     csv.writer(stream, lineterminator="\n"), since fields of digits and
     '-' need no quoting."""
     stream.write(",".join(head) + "\n")
-    line = ",".join(["%s"] * len(head)) + "\n"
+    _write_lines(stream, ",".join(["%s"] * len(head)) + "\n", rows)
+
+
+def _write_lines(stream, line, rows, sep=""):
+    """Write line % row for each row, joined by sep, 4096 rows per write."""
     rows = iter(rows)
+    first = ""
     while lines := [line % row for row in islice(rows, 4096)]:
-        stream.write("".join(lines))
+        stream.write(first + sep.join(lines))
+        first = sep
 
 
 def _json_int(x, what="coefficient"):
@@ -823,7 +829,7 @@ def eta_power(e: int, order: int) -> TruncSeries:
     division by n is exact; a remainder raises ArithmeticError.
     """
     e = _as_int(e, "exponent")
-    if order < 0:
+    if _as_int(order, "order") < 0:
         raise ValueError("order must be non-negative")
     plus, minus = [], []  # (k, (e+1) k) for each k >= 1 with f_k = +1 / -1
     m = 1

@@ -1,5 +1,6 @@
-"""The CLI's JSON writer: the bytes of json.dump(sort_keys=True, indent=2),
-for integers of any size."""
+"""The CLI's JSON writers: the bytes of json.dump(sort_keys=True, indent=2),
+for integers of any size, from the streaming writer and from the records
+that write themselves."""
 
 import io
 import json
@@ -9,7 +10,9 @@ import sys
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bpskit import K3PairsSeries, KkvTable, LaurentPoly, ky_series
 from bpskit.cli import _write_json
+from bpskit.k3 import _kkv_table
 from bpskit.series import _big_str
 
 # every code point, lone surrogates and control characters included
@@ -82,3 +85,68 @@ def test_cli_writes_a_vector_entry_past_the_digit_cap():
     assert obj["vector"] == {"g": 1, "n": [0, -chi]}
     assert obj["series"]["coeffs"][0] == _big_str(-chi)
     assert proc.stdout.endswith("}\n")
+
+
+# The two large K3 records write their own JSON: the bytes of
+# json.dumps(record.to_json(), sort_keys=True, indent=2).
+
+def _self_written(record) -> str:
+    f = io.StringIO()
+    record.write_json(f)
+    return f.getvalue()
+
+
+@given(st.integers(0, 12), st.integers(1, 80))
+@settings(max_examples=60, deadline=None)
+def test_ky_series_writes_json_bytes(h_max, y_order):
+    r = ky_series(h_max, y_order)
+    assert _self_written(r) == json.dumps(r.to_json(), sort_keys=True, indent=2)
+
+
+# sparse rows, negative exponents, zero coefficients (dropped, so a row of
+# zeros is the empty LaurentPoly) and records with no rows at all
+laurent_rows = st.builds(LaurentPoly, st.dictionaries(st.integers(-150, 150),
+                                                      st.integers(-10 ** 25, 10 ** 25)
+                                                      | st.just(0), max_size=12))
+
+
+@given(st.lists(laurent_rows | st.just(LaurentPoly()), max_size=6), st.integers(-5, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_hand_built_pair_series_writes_json_bytes(rows, y_order):
+    r = K3PairsSeries(tuple(rows), y_order)
+    assert _self_written(r) == json.dumps(r.to_json(), sort_keys=True, indent=2)
+
+
+@given(st.integers(0, 40))
+@settings(max_examples=41, deadline=None)
+def test_kkv_table_writes_json_bytes(h_max):
+    t = _kkv_table(h_max)
+    assert _self_written(t) == json.dumps(t.to_json(), sort_keys=True, indent=2)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 30), st.integers(0, 30)), st.integers(),
+                       max_size=20), st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_hand_built_kkv_table_writes_json_bytes(rows, h_max):
+    t = KkvTable(h_max, rows)
+    assert _self_written(t) == json.dumps(t.to_json(), sort_keys=True, indent=2)
+
+
+def test_kkv_table_written_in_chunks():
+    # 4096 rows a write: a table of 3 chunks joins them with single commas
+    t = KkvTable(127, {(g, h): g - h for h in range(128) for g in range(h + 1)})
+    assert len(t.rows) > 2 * 4096
+    assert _self_written(t) == json.dumps(t.to_json(), sort_keys=True, indent=2)
+
+
+def test_records_write_numbers_past_the_digit_cap():
+    big = -(10 ** 4400 + 7)
+    t = KkvTable(1, {(0, 0): 1, (0, 1): big, (1, 1): -2})
+    f = io.StringIO()
+    _write_json(t.to_json(), f)
+    assert _self_written(t) == f.getvalue()
+    assert _big_str(big) in f.getvalue()
+    r = K3PairsSeries((LaurentPoly({1: 1, 2: big}), LaurentPoly({0: 2, -1: big})), 2)
+    f = io.StringIO()
+    _write_json(r.to_json(), f)
+    assert _self_written(r) == f.getvalue()

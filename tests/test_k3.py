@@ -24,9 +24,10 @@ from bpskit import (
 from bpskit import kernels, product_family
 from bpskit.k3 import (KKV_FACTORS, _kkv_table, _ky_rows, _theta_packed, _theta_rows,
                        _unpack_rows)
-from bpskit.series import _expand_product
+from bpskit.series import TruncSeries, _expand_product
 
 YZ_HEAD = [1, 24, 324, 3200, 25650, 176256, 1073720]
+YZ_7 = 5930496  # [q^7] E^-24
 
 
 @st.composite
@@ -61,6 +62,26 @@ class TestYauZaslow:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             yau_zaslow(-1)
+
+
+# h_max and y_order are ints: a bool, a float or a 1.5 is a TypeError, not a window
+WINDOW_CALLS = {
+    "eta_power": lambda x: eta_power(-24, x),
+    "yau_zaslow": yau_zaslow,
+    "ky_series h_max": lambda x: ky_series(x, 5),
+    "ky_series y_order": lambda x: ky_series(2, x),
+    "kkv_product": kkv_product,
+    "_kkv_table": _kkv_table,
+    "signed_conversion_check h_max": lambda x: signed_conversion_check(x, 3),
+    "signed_conversion_check y_order": lambda x: signed_conversion_check(2, x),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 1.5], ids=repr)
+@pytest.mark.parametrize("call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
+def test_window_arguments_are_not_coerced(call, value):
+    with pytest.raises(TypeError, match="must be an int, not"):
+        call(value)
 
 
 class TestKynSeries:
@@ -171,6 +192,34 @@ class TestThetaEngine:
             "theta engine: q^54 row does not fit 88-bit slots: unpacked |coefficients| "
             f"sum to 1918314543435091429588704125, the b = 0 run gives {sums[54]}")
 
+    @pytest.mark.parametrize("h_max", [0, 1, 5, 40, 80])
+    def test_b0_run_equals_yau_zaslow(self, h_max):
+        # the z = 1 identity the z-rows are now checked against: F = E^3
+        want = eta_power(-24, h_max).coeff_list()
+        assert _theta_packed(h_max, 1, False, 0) == want
+        assert [row[0] for row in _theta_rows(h_max, t=True)] == want
+
+    @pytest.mark.parametrize("c, t, identity", [
+        (1, False, "z = 1 identity"), (-1, False, "z = 1 identity"), (1, True, "genus-0 identity")])
+    def test_identity_gate_names_the_row_and_both_values(self, monkeypatch, c, t, identity):
+        # a wrong [q^7] E^-24 stands in for a theta engine that breaks the identity
+        real = eta_power
+
+        def bumped(e, order):
+            s = real(e, order)
+            if e != -24:
+                return s
+            a = s.coeff_list()
+            a[7] += 1
+            return TruncSeries(0, a, order)
+
+        monkeypatch.setattr("bpskit.k3.eta_power", bumped)
+        with pytest.raises(ArithmeticError) as info:
+            _theta_rows(9, c, t)
+        msg = str(info.value)
+        assert msg.startswith(f"theta engine: q^7 row fails the {identity} ")
+        assert f"[q^7] E^-24 is {YZ_7 + 1}" in msg and str(YZ_7) in msg
+
 
 class TestKkvDecompose:
     def test_spot_values(self):
@@ -269,6 +318,19 @@ class TestSignedConversion:
     def test_tamper_at_odd_exponent(self):
         rep = signed_conversion_check(3, 8, tamper=(2, 5, -3))
         assert not rep.passed and rep.first_mismatch == (2, 5)
+
+    def test_every_in_window_tamper_is_located(self):
+        for h_max in range(5):
+            for y_order in range(1, 9):
+                for h in range(h_max + 1):
+                    for n in range(1 - h, y_order + 1):
+                        for delta in (1, -2):
+                            rep = signed_conversion_check(h_max, y_order, tamper=(h, n, delta))
+                            assert not rep.passed and rep.first_mismatch == (h, n)
+                # outside the window: a later row, and exponents past either end
+                for h, n in ((h_max + 1, 1), (0, y_order + 1), (h_max, -h_max),
+                             (h_max, y_order + 3)):
+                    assert signed_conversion_check(h_max, y_order, tamper=(h, n, 5)).passed
 
     def test_json_shape(self):
         obj = signed_conversion_check(2, 6).to_json()
