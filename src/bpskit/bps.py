@@ -4,9 +4,7 @@ Every basis the package decomposes over has one shape: element r is
 
     x^(c - r) (1 + s x)^(2r + m),    r = 0 .. top,
 
-with lowest exponent c - r and unit leading coefficient.  A series in the
-span is therefore recovered by one triangular peel that runs the elements
-from r = top down to 0, and rebuilt by the same table run forwards:
+with lowest exponent c - r and unit leading coefficient:
 
     basis     variable  c      s    m              element r
     pairs     q         1      +1   -2             q^(1-r) (1+q)^(2r-2)
@@ -19,19 +17,27 @@ pairs series; the Hilbert basis decomposes Hilbert-scheme generating
 series; the punctual basis is read on the q-negated punctual series of a
 planar germ; the KKV kernels turn the K3 product into r_(g,h) = (-1)^g n_g.
 
-Each element is one binomial row, `series._add_binom_row`, which
-`binom_pow`, `product_family` and the curve contributions share.  A
-negative power 2r + m is an infinite series that the row's exact
-recurrence expands up to the window's end, so the r = 0 elements
-B_0 = q (1+q)^-2 and q^g (1-q)^-2 = sum (k+1) q^(g+k) are no special case.
+As (1 + s x)^2 = x u with u = x^-1 + 2s + x, element r is x^c (1 + s x)^m u^r:
+the span is x^c (1 + s x)^m P(u), where P(u) = sum n_r u^r is symmetric under
+x <-> 1/x, so its low half, on [x^-top, x^0], determines it.  The sum builds that
+half from rows of r + 1 terms (`series._add_binom_row`), mirrors it and multiplies
+by (1 + s x)^m.  The peel reads it off Y = x^-c (1 + s x)^-m Z and runs Horner's
+rule backwards: n_0 is P where u = 0, and (P - n_0) / u is symmetric again.  As
+(1 + s x)^m starts with 1, the residual's lowest term is Z's below x^(c-top), or
+else the first nonzero Y_j - Y_-j (0 < j <= top) or Y_j (j > top), at x^(c+j).
+
 The module also validates the three defining identities of the pairs
 basis.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import neg, sub
+
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import TruncSeries, _add_binom_row, _as_int, _json_int, _json_ints, _Record
+from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _json_ints, _Record,
+                     _times_binom)
 
 
 class BpsVector(_Record):
@@ -89,42 +95,54 @@ _PAIRS = (1, 1, -2)  # (c, s, m) of the pairs basis
 
 def _basis_sum(n, order: int, c: int, s: int, m: int) -> TruncSeries:
     """sum n_r x^(c-r) (1 + s x)^(2r+m) over r = 0 .. top = len(n) - 1,
-    exact on [c - top, order]."""
-    lo = min(c - len(n) + 1, order + 1)
-    acc = [0] * (order - lo + 1)
+    exact on [c - top, order]: x^c (1 + s x)^m P(u) with P(u) = sum n_r u^r."""
+    top = len(n) - 1
+    lo = min(c - top, order + 1)
+    half = [0] * (top + 1)  # P at x^-top .. x^0: u^r contributes r + 1 terms
     for r, nr in enumerate(n):
         if nr:
-            _add_binom_row(acc, c - r - lo, nr, 2 * r + m, s)
-    return TruncSeries._raw(lo, acc, order)
+            _add_binom_row(half, top - r, nr, 2 * r, s)
+    width = order - lo + 1
+    p = (half + half[-2::-1] + [0] * width)[:width]  # P at x^j is P at x^-j
+    return TruncSeries._raw(lo, _times_binom(p, m, s), order)
 
 
 def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
     """Peel n_top .. n_0 over x^(c-r) (1 + s x)^(2r+m) off the series.
 
-    Returns (n, residual, base): the residual is dense over [base, order],
-    where base = min(series.min_exp, c - top).  The window must reach c.
+    Returns (n, first): first is the lowest (exponent, coefficient) of the
+    residual Z - sum n_r x^(c-r) (1 + s x)^(2r+m), or None when the peel
+    closes.  The window must reach c.
     """
-    base = min(series.min_exp, c - top)
-    res = [0] * (series.order - base + 1)
-    res[series.min_exp - base:] = series.coeff_list()
-    n = [0] * (top + 1)
-    for r in range(top, -1, -1):
-        i = c - r - base
-        nr = n[r] = res[i]
-        if nr:
-            _add_binom_row(res, i, -nr, 2 * r + m, s)
-    return n, res, base
+    lo = series.min_exp
+    cs = series.coeff_list()
+    k = c - top - lo  # terms below x^(c-top) pass to the residual untouched
+    y = _times_binom(cs[k:] if k > 0 else [0] * -k + cs, -m, s)  # Y over [-top, order - c]
+    p = y[:top + 1]  # P(u) must equal Y on [-top, 0]
+    if s > 0:  # x -> -x turns u into -(x^-1 - 2 + x): n_r comes out as (-1)^r n_r
+        p[-2::-2] = map(neg, p[-2::-2])
+    n = []
+    for _ in range(top):  # n_r is P at x = 1, where u = 0; then P <- (P - n_r) / u
+        n.append(2 * sum(p) - p[-1])
+        p[-1] -= n[-1]
+        p = list(accumulate(accumulate(p)))[:-1]
+    n.append(p[0])
+    if s > 0:
+        n[1::2] = map(neg, n[1::2])
+    hi = y[top + 1:]  # above x^0, Y - P with P_j = Y_-j
+    d = list(map(sub, hi, y[top - 1::-1] if top else ())) + hi[top:]
+    for e, part in ((lo, cs[:max(k, 0)]), (c + 1, d)):
+        if any(part):
+            j = next(j for j, v in enumerate(part) if v)
+            return n, (e + j, part[j])
+    return n, None
 
 
-def _reject_residual(res: list, base: int, basis: str) -> None:
-    """Raise NotBpsForm at the lowest exponent the peel left nonzero."""
-    for i, c in enumerate(res):
-        if c:
-            raise NotBpsForm(
-                f"residual coefficient {c} at q^{base + i} is not generated "
-                f"by the {basis} basis",
-                exponent=base + i,
-            )
+def _reject_residual(first, basis: str) -> None:
+    """Raise NotBpsForm at the residual's lowest term, if the peel left one."""
+    if first:
+        raise NotBpsForm(f"residual coefficient {first[1]} at q^{first[0]} is not generated "
+                         f"by the {basis} basis", exponent=first[0])
 
 
 def pairs_basis_element(r: int, order: int) -> TruncSeries:
@@ -150,21 +168,15 @@ def _need_q1(series: TruncSeries, g: int) -> None:
         )
 
 
-def _pairs_peel(series: TruncSeries, g: int):
-    """Peel of n_g .. n_0 over the pairs basis; callers decide what to do
-    with a nonzero residual."""
-    _need_q1(series, g)
-    return _basis_peel(series, g, *_PAIRS)
-
-
 def bps_decompose(Z: PairsSeries) -> BpsVector:
     """Recover the unique BPS vector whose recomposition matches Z exactly.
 
     Raises NotBpsForm if any residual coefficient survives the peel, and
     InsufficientWindow if the window stops short of q^1.
     """
-    n, res, base = _pairs_peel(Z.series, Z.g)
-    _reject_residual(res, base, f"genus-{Z.g}")
+    _need_q1(Z.series, Z.g)
+    n, first = _basis_peel(Z.series, Z.g, *_PAIRS)
+    _reject_residual(first, f"genus-{Z.g}")
     return BpsVector(Z.g, tuple(n))
 
 
@@ -273,6 +285,6 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
             f"genus-{g} Hilbert decomposition needs the window to reach q^{g + 1} "
             f"(order is {H.order})"
         )
-    n, res, base = _basis_peel(H, g, g, -1, -2)
-    _reject_residual(res, base, f"genus-{g} Hilbert")
+    n, first = _basis_peel(H, g, g, -1, -2)
+    _reject_residual(first, f"genus-{g} Hilbert")
     return BpsVector(g, tuple(n))

@@ -192,8 +192,8 @@ def q_series_decompose(germ: SingularityGerm) -> list[int]:
             f"delta = {d} needs {d + 2} exact coefficients (through q^{d + 1}); "
             f"window stops at q^{order}"
         )
-    n, res, base = _basis_peel(signed, d, d, 1, -2 * d - mu)
-    _reject_residual(res, base, f"delta = {d} punctual")
+    n, first = _basis_peel(signed, d, d, 1, -2 * d - mu)
+    _reject_residual(first, f"delta = {d} punctual")
     return n
 
 

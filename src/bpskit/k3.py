@@ -30,14 +30,14 @@ running sums.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import comb
 from operator import neg
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError, InsufficientWindow
 from .series import (BiSeries, LaurentPoly, TruncSeries, _as_int, _int_str, _int_strs, _json_int,
-                     _Record, _unpack, _write_csv, _write_lines, eta_power)
+                     _Record, _times_binom, _unpack, _write_csv, _write_lines, eta_power)
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -117,7 +117,8 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
     (1 - z q^n)(1 - z^-1 q^n) = (1 - q^n)^2 - t q^n), and c = -1 only
     flips signs, so a row's value at z = 1 (at t = 1 if t) bounds each of
     its coefficients.  z-rows take those values from E^-24; t-rows from
-    the b = 0 run, and their t^0 slots must equal E^-24.
+    the b = 0 run, and their t^0 slots must equal E^-24.  At c = -1 the
+    signed sum of each z-row must equal [q^h] E^-16 E(q^2)^-4.
     """
     yz = eta_power(-24, h_max).coeff_list()
     sums = _theta_packed(h_max, 1, t, 0) if t else yz
@@ -130,6 +131,14 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
             f"theta engine: q^{h} row fails the genus-0 identity [t^0 q^h] E^-18 F^-2 = "
             f"[q^h] E^-24: its t^0 slot holds {rows[h][0]}, [q^{h}] E^-24 is {yz[h]}"
         )
+    if c < 0:  # at z = 1, F = E(q^2)^2 / E
+        e16, e4 = eta_power(-16, h_max).coeff_list(), eta_power(-4, h_max // 2).coeff_list()
+        for h, row in enumerate(rows):
+            want = sum([e16[h - 2 * k] * e4[k] for k in range(h // 2 + 1)])
+            if sum(row) != want:
+                raise ArithmeticError(f"theta engine: q^{h} row fails the c = -1 identity "
+                                      f"sum_j [z^j q^h] E^-18 F^-2 = [q^h] E^-16 E(q^2)^-4: its "
+                                      f"slots sum to {sum(row)}, [q^{h}] E^-16 E(q^2)^-4 is {want}")
     return rows
 
 
@@ -163,15 +172,7 @@ def _ky_dense(h_max: int, y_order: int, c: int) -> list[list[int]]:
     out = []
     for h, row in enumerate(_theta_rows(h_max, c)):
         size = y_order + h  # y-exponents -h .. y_order - 1, before the shift by y
-        dense = row[:size] + [0] * (size - len(row))
-        # divide by (1 - y) twice: two running sums.  (1 + y)^-1 is that
-        # with y -> -y, so for c = -1 the odd slots flip before and after.
-        if c < 0:
-            dense[1::2] = map(neg, dense[1::2])
-        dense = list(accumulate(accumulate(dense)))
-        if c < 0:
-            dense[1::2] = map(neg, dense[1::2])
-        out.append(dense)
+        out.append(_times_binom(row[:size] + [0] * (size - len(row)), -2, -c))
     return out
 
 

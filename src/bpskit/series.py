@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Mapping
-from itertools import islice
+from itertools import accumulate, islice
+from operator import add, neg, sub
 
 from . import kernels
 from .errors import EmptyWindow, InputError, InsufficientWindow, NonUnitLeading
@@ -154,6 +155,22 @@ def _add_binom_row(acc: list, i: int, coef: int, p: int, s: int) -> None:
     for k in range(1, top + 1):
         b = b * ((p - k + 1) * s) // k
         acc[i + k] += b
+
+
+def _times_binom(a: list, p: int, s: int) -> list:
+    """a (1 + s x)^p truncated to len(a), consuming a: p passes of
+    a_k + s a_(k-1), or -p running sums, the odd slots flipped before and
+    after for s = +1 ((1 + x)^-1 is (1 - x)^-1 with x -> -x)."""
+    for _ in range(p):
+        a[1:] = map(add if s > 0 else sub, a[1:], a)
+    if p < 0 and s > 0:
+        a[1::2] = map(neg, a[1::2])
+    for _ in range(-p):
+        a = accumulate(a)
+    a = list(a)
+    if p < 0 and s > 0:
+        a[1::2] = map(neg, a[1::2])
+    return a
 
 
 # Kronecker substitution (Harvey, arXiv:0712.4046) holds a list of n

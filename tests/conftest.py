@@ -10,7 +10,8 @@ from bpskit import (
     binom_pow,
     sym_euler,
 )
-from bpskit.bps import IdentityCheck, _pairs_peel
+from bpskit.bps import IdentityCheck, _need_q1
+from bpskit.series import _add_binom_row
 
 
 def naive_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -67,12 +68,40 @@ laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size
 # -- the routes the batch functions replaced, kept as oracles ----------------
 
 
+def basis_sum_by_rows(n, order: int, c: int, s: int, m: int) -> TruncSeries:
+    """bps._basis_sum with one binomial row per genus across the whole
+    window, the route the symmetric half P(u) replaced."""
+    lo = min(c - len(n) + 1, order + 1)
+    acc = [0] * (order - lo + 1)
+    for r, nr in enumerate(n):
+        if nr:
+            _add_binom_row(acc, c - r - lo, nr, 2 * r + m, s)
+    return TruncSeries._raw(lo, acc, order)
+
+
+def basis_peel_by_rows(series: TruncSeries, top: int, c: int, s: int, m: int):
+    """bps._basis_peel by subtracting each element across the whole window
+    and scanning the dense residual, the route the symmetric half replaced.
+    Returns (n, first) like the peel."""
+    base = min(series.min_exp, c - top)
+    res = [0] * (series.order - base + 1)
+    res[series.min_exp - base:] = series.coeff_list()
+    n = [0] * (top + 1)
+    for r in range(top, -1, -1):
+        i = c - r - base
+        nr = n[r] = res[i]
+        if nr:
+            _add_binom_row(res, i, -nr, 2 * r + m, s)
+    first = next(((base + i, v) for i, v in enumerate(res) if v), None)
+    return n, first
+
+
 def validate_ggtc_by_peel(Z: PairsSeries) -> GgtcReport:
     """validate_ggtc with N read off the full triangular peel, the route
     the closed form N = P_1 - P_(-1) replaced."""
     s, g = Z.series, Z.g
-    n, _res, _base = _pairs_peel(s, g)
-    N = n[0]
+    _need_q1(s, g)
+    N = basis_peel_by_rows(s, g, 1, 1, -2)[0][0]
 
     fail_0 = None
     for e, c in s.items():

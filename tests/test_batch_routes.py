@@ -1,7 +1,8 @@
 """The closed-form N of validate_ggtc, the genus strata of
-nodal_pairs_series and the packed (1+q)^E product of
-stratify_pairs_series, each checked against the route it replaced
-(kept in conftest.py) and pinned by the digest of a fixed sweep."""
+nodal_pairs_series, the packed (1+q)^E product of stratify_pairs_series
+and the basis sum and peel on the symmetric half P(u), each checked
+against the route it replaced (kept in conftest.py) and pinned by the
+digest of a fixed sweep."""
 
 import hashlib
 import json
@@ -13,20 +14,25 @@ import hypothesis.strategies as st
 from bpskit import (
     BpsVector,
     NodalCurve,
+    NotBpsForm,
     PairsSeries,
     SingularityGerm,
     TruncSeries,
+    bps_decompose,
     bps_recompose,
+    hilbert_decompose,
     nodal_contribution,
     nodal_pairs_series,
     stratify_pairs_series,
     subsets_of_nodes,
     validate_ggtc,
 )
-from bpskit.bps import _pairs_peel
+from bpskit.bps import _basis_peel, _basis_sum
 from bpskit.curves import _times_one_plus_q_pow
 
 from conftest import (
+    basis_peel_by_rows,
+    basis_sum_by_rows,
     binom_pow_product,
     nodal_pairs_series_by_subset,
     validate_ggtc_by_peel,
@@ -152,7 +158,7 @@ def pairs_series(draw):
 def test_validate_ggtc_matches_the_peel(Z):
     report = _same_outcome(validate_ggtc, validate_ggtc_by_peel, Z)
     if report is not None:
-        assert report.n0 == _pairs_peel(Z.series, Z.g)[0][0]
+        assert report.n0 == _basis_peel(Z.series, Z.g, 1, 1, -2)[0][0]
 
 
 @st.composite
@@ -207,3 +213,67 @@ def test_stratify_multiplies_the_signed_punctual_series():
     got = stratify_pairs_series(germ, -2, 2, 5).series
     assert (got.min_exp, got.order) == (-1, 5)
     assert got.coeff_list() == binom_pow_product([1, -1, 2, -3, 4, -5, 6], 2, 7)
+
+
+@st.composite
+def basis_cases(draw):
+    """((c, s, m), top, n, order, Z) for the pairs, Hilbert, punctual and
+    KKV bases: a sum window that may end below c - top (an empty sum), and
+    a peel input reaching x^c that starts below, at or above c - top, in
+    the span (possibly perturbed at one exponent) or arbitrary."""
+    basis = draw(st.sampled_from(("pairs", "hilbert", "punctual", "kkv")))
+    top = draw(st.integers(0, 8 if basis == "punctual" else 40))
+    c, s, m = {"pairs": (1, 1, -2), "hilbert": (top, -1, -2), "kkv": (0, -1, 0),
+               "punctual": (top, 1, -2 * top - draw(st.integers(0, 6)))}[basis]
+    n = draw(st.lists(big60, min_size=top + 1, max_size=top + 1))
+    order = draw(st.integers(c - top - 3, c + 20))
+    lo = draw(st.integers(c - top - 4, c - top + 4))
+    peel_order = draw(st.integers(max(c, lo - 1), c + 20))
+    if draw(st.booleans()):
+        z = basis_sum_by_rows(n, peel_order, c, s, m)
+        cs = [0] * (z.min_exp - lo) + z.coeff_list() if z.min_exp >= lo else None
+        if cs is None:
+            lo, cs = z.min_exp, z.coeff_list()
+        if cs and draw(st.booleans()):
+            cs[draw(st.integers(0, len(cs) - 1))] += draw(
+                st.integers(-10 ** 60, 10 ** 60).filter(bool))
+    else:
+        cs = draw(st.lists(big60, min_size=peel_order - lo + 1, max_size=peel_order - lo + 1))
+    return (c, s, m), top, n, order, TruncSeries(lo, cs, peel_order)
+
+
+def _decompose_by_rows(Z, top, c, s, m, basis):
+    n, first = basis_peel_by_rows(Z, top, c, s, m)
+    if first:
+        raise NotBpsForm(f"residual coefficient {first[1]} at q^{first[0]} is not "
+                         f"generated by the {basis} basis", exponent=first[0])
+    return BpsVector(top, tuple(n))
+
+
+@given(basis_cases())
+@settings(max_examples=400, deadline=None)
+@example(((1, 1, -2), 0, [7], -2, TruncSeries(2, [], 1)))
+@example(((3, -1, -2), 3, [1, 2, 3, 4], -1, TruncSeries(-2, [5, 0, 0, 0, 0, 0, 0], 4)))
+@example(((2, 1, -10), 2, [0, 0, 1], 0, TruncSeries(0, [1, 0, 1, 9], 3)))
+@example(((0, -1, 0), 2, [1, 0, 0], 2, TruncSeries(-2, [1, 2, 3, 4, 5], 2)))
+def test_basis_sum_and_peel_match_the_rows(case):
+    (c, s, m), top, n, order, Z = case
+    assert _basis_sum(n, order, c, s, m) == basis_sum_by_rows(n, order, c, s, m)
+    assert _basis_peel(Z, top, c, s, m) == basis_peel_by_rows(Z, top, c, s, m)
+    if (c, s, m) == (1, 1, -2):
+        basis, decompose = f"genus-{top}", lambda Z, g: bps_decompose(PairsSeries(Z, g))
+    elif (c, s, m) == (top, -1, -2) and Z.order > c:
+        basis, decompose = f"genus-{top} Hilbert", hilbert_decompose
+    else:
+        return
+    try:
+        want = _decompose_by_rows(Z, top, c, s, m, basis)
+    except NotBpsForm as exc:
+        try:
+            decompose(Z, top)
+        except NotBpsForm as got:
+            assert (str(got), got.exponent) == (str(exc), exc.exponent)
+        else:
+            raise AssertionError(f"expected NotBpsForm: {exc}")
+    else:
+        assert decompose(Z, top) == want

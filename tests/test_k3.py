@@ -220,6 +220,35 @@ class TestThetaEngine:
         assert msg.startswith(f"theta engine: q^7 row fails the {identity} ")
         assert f"[q^7] E^-24 is {YZ_7 + 1}" in msg and str(YZ_7) in msg
 
+    def test_signed_rows_sum_to_the_c_minus_1_eta_quotient(self):
+        e16, e4 = eta_power(-16, 40), eta_power(-4, 20)
+        for h, row in enumerate(_theta_rows(40, -1)):
+            assert sum(row) == sum(e16.coeff(h - 2 * k) * e4.coeff(k) for k in range(h // 2 + 1))
+
+    @pytest.mark.parametrize("exponent, bumped_at, h", [(-16, 7, 7), (-4, 3, 6)])
+    def test_c_minus_1_gate_names_the_row_and_both_values(self, monkeypatch, exponent,
+                                                          bumped_at, h):
+        # a wrong factor of E^-16 E(q^2)^-4 stands in for c = -1 rows with wrong signs
+        real = eta_power
+        signed_sum = sum(_theta_rows(9, -1)[h])
+
+        def bumped(e, order):
+            s = real(e, order)
+            if e != exponent:
+                return s
+            a = s.coeff_list()
+            a[bumped_at] += 1
+            return TruncSeries(0, a, order)
+
+        monkeypatch.setattr("bpskit.k3.eta_power", bumped)
+        with pytest.raises(ArithmeticError) as info:
+            _theta_rows(9, -1)
+        msg = str(info.value)
+        assert msg.startswith(f"theta engine: q^{h} row fails the c = -1 identity ")
+        assert f"its slots sum to {signed_sum}, " in msg
+        assert msg.endswith(f"[q^{h}] E^-16 E(q^2)^-4 is {signed_sum + 1}")
+        _theta_rows(9, 1)  # c = +1 does not read the quotient
+
 
 class TestKkvDecompose:
     def test_spot_values(self):
