@@ -36,8 +36,8 @@ from itertools import accumulate
 from operator import neg, sub
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _json_ints, _Record,
-                     _times_binom)
+from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _json_int, _json_ints,
+                     _Record, _times_binom)
 
 
 class BpsVector(_Record):
@@ -49,10 +49,11 @@ class BpsVector(_Record):
 
     def _check(self):
         if self.g < 0:
-            raise ValueError("g must be non-negative")
+            raise InputError("g must be non-negative")
         object.__setattr__(self, "n", tuple(_as_int(v) for v in self.n))
         if len(self.n) != self.g + 1:
-            raise ValueError(f"genus {self.g} needs {self.g + 1} entries, got {len(self.n)}")
+            raise InputError(f"genus {_int_str(self.g)} needs {_int_str(self.g + 1)} entries, "
+                             f"got {len(self.n)}")
 
     def __getitem__(self, r: int) -> int:
         return self.n[r]
@@ -64,7 +65,7 @@ class BpsVector(_Record):
     def from_json(cls, obj) -> "BpsVector":
         try:
             return cls(_json_int(obj["g"], "g"), _json_ints(obj["n"], "n entry"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad BPS vector JSON: {exc}") from None
 
 
@@ -77,7 +78,7 @@ class PairsSeries(_Record):
 
     def _check(self):
         if self.g < 0:
-            raise ValueError("g must be non-negative")
+            raise InputError("g must be non-negative")
 
     def to_json(self) -> dict:
         return {"g": self.g, "series": self.series.to_json()}
@@ -86,7 +87,7 @@ class PairsSeries(_Record):
     def from_json(cls, obj) -> "PairsSeries":
         try:
             return cls(TruncSeries.from_json(obj["series"]), _json_int(obj["g"], "g"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad pairs-series JSON: {exc}") from None
 
 
@@ -141,30 +142,35 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
 def _reject_residual(first, basis: str) -> None:
     """Raise NotBpsForm at the residual's lowest term, if the peel left one."""
     if first:
-        raise NotBpsForm(f"residual coefficient {first[1]} at q^{first[0]} is not generated "
-                         f"by the {basis} basis", exponent=first[0])
+        raise NotBpsForm(f"residual coefficient {_int_str(first[1])} at q^{first[0]} is not "
+                         f"generated by the {basis} basis", exponent=first[0])
+
+
+def _reach_base(order: int, g: int) -> None:
+    """Raise InsufficientWindow when order lies below the base exponent 1 - g."""
+    if order < 1 - g:
+        raise InsufficientWindow(
+            f"order {_int_str(order)} is below the base exponent {_int_str(1 - g)}")
 
 
 def pairs_basis_element(r: int, order: int) -> TruncSeries:
     """B_r = q^(1-r) (1+q)^(2r-2) truncated to `order`; B_0 = q (1+q)^-2."""
     if r < 0:
-        raise ValueError("r must be non-negative")
+        raise InputError("r must be non-negative")
     return _basis_sum((0,) * r + (1,), order, *_PAIRS)
 
 
 def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
     """Sum n_r * B_r, exact on the window [1 - g, order]."""
-    g = v.g
-    if order < 1 - g:
-        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
-    return PairsSeries(_basis_sum(v.n, order, *_PAIRS), g)
+    _reach_base(order, v.g)
+    return PairsSeries(_basis_sum(v.n, order, *_PAIRS), v.g)
 
 
 def _need_q1(series: TruncSeries, g: int) -> None:
     if series.order < 1:
         raise InsufficientWindow(
-            f"decomposition to genus {g} needs the window to reach q^1 "
-            f"(order is {series.order}); {g + 1} leading coefficients are required"
+            f"decomposition to genus {_int_str(g)} needs the window to reach q^1 "
+            f"(order is {series.order}); {_int_str(g + 1)} leading coefficients are required"
         )
 
 
@@ -265,9 +271,9 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
 def hilbert_basis_element(r: int, g: int, order: int) -> TruncSeries:
     """q^(g-r) (1-q)^(2r-2) truncated to `order`."""
     if r < 0:
-        raise ValueError("r must be non-negative")
+        raise InputError("r must be non-negative")
     if g < 0:
-        raise ValueError("g must be non-negative")
+        raise InputError("g must be non-negative")
     return _basis_sum((0,) * r + (1,), order, g, -1, -2)
 
 
@@ -279,11 +285,11 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
     reach q^(g+1); any surviving residual raises NotBpsForm.
     """
     if g < 0:
-        raise ValueError("g must be non-negative")
+        raise InputError("g must be non-negative")
     if H.order < g + 1:
         raise InsufficientWindow(
-            f"genus-{g} Hilbert decomposition needs the window to reach q^{g + 1} "
-            f"(order is {H.order})"
+            f"genus-{_int_str(g)} Hilbert decomposition needs the window to reach "
+            f"q^{_int_str(g + 1)} (order is {H.order})"
         )
     n, first = _basis_peel(H, g, g, -1, -2)
     _reject_residual(first, f"genus-{g} Hilbert")

@@ -174,13 +174,10 @@ def _load_pairs(args) -> PairsSeries:
         series = TruncSeries.from_json(obj)
         g = 1 - series.min_exp
     if args.g is not None:
-        if args.g < 0:
-            raise InputError(f"--g must be non-negative, got {args.g}")
-        g = args.g
+        g = args.g  # PairsSeries rejects a negative genus
     elif g < 0:
-        raise InputError(
-            f"genus inferred from min_exp {series.min_exp} is negative; pass --g"
-        )
+        raise InputError(f"genus inferred from min_exp {_int_str(series.min_exp)} is "
+                         "negative; pass --g")
     return PairsSeries(series, g)
 
 
@@ -545,9 +542,6 @@ def run(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:  # the output (or stdin) failed, not bpskit
         return _io_error(exc)
     except Exception:

@@ -12,17 +12,18 @@ from collections.abc import Mapping
 from itertools import combinations
 from math import comb
 
-from .bps import BpsVector, PairsSeries, _basis_peel, _reject_residual, pairs_basis_element
+from .bps import (BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual,
+                  pairs_basis_element)
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _pack, _Record, _unpack,
-                     q_negate)
+from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _json_int, _pack, _Record,
+                     _unpack, q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
     """Euler characteristic of the k-th symmetric product of a space with
     Euler characteristic e: the q^k coefficient of (1 - q)^(-e)."""
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise InputError("k must be non-negative")
     if e > 0:
         return comb(e + k - 1, k)
     return (-1) ** k * comb(-e, k)
@@ -42,18 +43,18 @@ class NodalCurve(_Record):
 
     def _check(self):
         if self.g < 0 or self.r < 0:
-            raise ValueError("g and r must be non-negative")
+            raise InputError("g and r must be non-negative")
         if self.r > self.g:
-            raise ValueError(f"r = {self.r} nodes need genus >= {self.r}, got g = {self.g}")
+            raise InputError(f"r = {_int_str(self.r)} nodes need genus >= r, got g = {self.g}")
         norm = {}
         for S, v in self.chi.items():
             S = frozenset(_as_int(i, "node") for i in S)
-            if any(i < 0 or i >= self.r for i in S):
-                raise ValueError(f"subset {sorted(S)} names a node outside 0..{self.r - 1}")
+            if bad := [i for i in S if not 0 <= i < self.r]:
+                raise InputError(f"node {_int_str(bad[0])} lies outside 0..{self.r - 1}")
             norm[S] = _as_int(v, "weight")
         if len(norm) != 2 ** self.r:
-            raise ValueError(
-                f"need weights for all {2 ** self.r} node subsets, got {len(norm)}"
+            raise InputError(
+                f"need weights for all 2^{self.r} node subsets, got {len(norm)}"
             )
         object.__setattr__(self, "chi", norm)
 
@@ -70,7 +71,7 @@ class NodalCurve(_Record):
                 S = frozenset(_json_int(t, "node") for t in key.split(",")) if key else frozenset()
                 chi[S] = _json_int(v, "weight")
             return cls(g, r, chi)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"bad nodal-curve JSON: {exc}") from None
 
 
@@ -85,9 +86,9 @@ class SingularityGerm(_Record):
 
     def _check(self):
         if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+            raise InputError("delta must be non-negative")
         if self.q_euler.min_exp != 0 or self.q_euler.coeff(0) != 1:
-            raise ValueError("the punctual series must start with constant term 1")
+            raise InputError("the punctual series must start with constant term 1")
 
     def to_json(self) -> dict:
         return {"delta": self.delta, "mu": self.mu, "q_euler": self.q_euler.to_json()}
@@ -97,7 +98,7 @@ class SingularityGerm(_Record):
         try:
             return cls(_json_int(obj["delta"], "delta"), _json_int(obj["mu"], "mu"),
                        TruncSeries.from_json(obj["q_euler"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad singularity-germ JSON: {exc}") from None
 
 
@@ -125,9 +126,8 @@ def nonsingular_contribution(g: int, chi: int, order: int) -> tuple[BpsVector, P
     (-1)^g chi q^(1-g) (1+q)^(2g-2).
     """
     if g < 0:
-        raise ValueError("g must be non-negative")
-    if order < 1 - g:
-        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
+        raise InputError("g must be non-negative")
+    _reach_base(order, g)
     top = (-1) ** g * chi
     n = [0] * (g + 1)
     n[g] = top
@@ -164,8 +164,7 @@ def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
     followed by recomposition.
     """
     g = curve.g
-    if order < 1 - g:
-        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
+    _reach_base(order, g)
     strata = [0] * (curve.r + 1)
     for S, v in curve.chi.items():
         strata[len(S)] += v
@@ -238,21 +237,20 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
     mu = (2 - 2g) - e_smooth.
     """
     if g < 0:
-        raise ValueError("g must be non-negative")
+        raise InputError("g must be non-negative")
     expected = milnor_from_geometry(g, e_smooth)
     if germ.mu != expected:
         raise MilnorMismatch(
-            f"mu = {germ.mu} but genus {g} with smooth-locus Euler characteristic "
-            f"{e_smooth} forces mu = {expected}"
+            f"mu = {_int_str(germ.mu)} but genus {_int_str(g)} with smooth-locus Euler "
+            f"characteristic {_int_str(e_smooth)} forces mu = {_int_str(expected)}"
         )
     signed = q_negate(germ.q_euler)
     if signed.order + (1 - g) < order:
         raise InsufficientWindow(
-            f"pairs series to q^{order} needs the punctual series exact through "
-            f"q^{order + g - 1}; window stops at q^{signed.order}"
+            f"pairs series to q^{_int_str(order)} needs the punctual series exact through "
+            f"q^{_int_str(order + g - 1)}; window stops at q^{signed.order}"
         )
-    if order < 1 - g:
-        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
+    _reach_base(order, g)
     # the signed series is dense from its constant term 1
     out = _times_one_plus_q_pow(signed.coeff_list(), -e_smooth, order + g)
     return PairsSeries(TruncSeries._raw(1 - g, out, order), g)

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
 ValidationError subclasses mean the input data fails a mathematical
-identity; PreconditionError subclasses mean the input does not carry
-enough (or the right shape of) information for the operation to run.
-The CLI maps the two families to distinct exit codes.
+identity (CLI exit 1); InputError means malformed input (exit 2);
+PreconditionError subclasses mean the input does not carry enough (or
+the right shape of) information for the operation to run (exit 3).
+InputError is also a ValueError.  Any other exception is a bug (exit 70),
+except a failed read or write (exit 74).
 """
 
 
@@ -19,8 +21,10 @@ class PreconditionError(BpskitError):
     """The input violates an operation's precondition."""
 
 
-class InputError(BpskitError):
-    """Malformed external input (bad JSON, wrong schema, unparsable flag)."""
+class InputError(BpskitError, ValueError):
+    """Malformed input: bad JSON, a wrong schema, an unparsable flag or an
+    argument out of range.  Also a ValueError, so callers that catch
+    ValueError keep working."""
 
 
 class EmptyWindow(PreconditionError):

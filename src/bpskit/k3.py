@@ -145,14 +145,14 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
 def _h_max(h_max) -> int:
     h_max = _as_int(h_max, "h_max")
     if h_max < 0:
-        raise ValueError("h_max must be non-negative")
+        raise InputError("h_max must be non-negative")
     return h_max
 
 
 def _ky_window(h_max, y_order) -> tuple[int, int]:
     h_max = _h_max(h_max)
     if _as_int(y_order, "y_order") < 1:
-        raise ValueError("y_order must be at least 1")
+        raise InputError("y_order must be at least 1")
     return h_max, y_order
 
 
@@ -232,7 +232,7 @@ class KkvTable(_Record):
             rows = {(_json_int(r["g"], "g"), _json_int(r["h"], "h")): _json_int(r["r"])
                     for r in obj["rows"]}
             return cls(_json_int(obj["h_max"], "h_max"), rows)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad table JSON: {exc}") from None
 
     def write_csv(self, stream):

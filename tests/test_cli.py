@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from bpskit import __version__
+from bpskit import InputError, __version__, eta_power
 from bpskit import cli as cli_module
 from bpskit.cli import build_parser, run
 
@@ -241,6 +241,22 @@ class TestExitCodes:
         assert code == 70
         assert "Traceback" in err and "planted engine fault" in err
 
+    def test_bare_value_error_is_software_error(self, capsys, monkeypatch):
+        # malformed input raises InputError; any other ValueError is a bug
+        def broken(args):
+            raise ValueError("planted verb fault")
+
+        _fn, flags = cli_module._VERBS["series", "eta"]
+        monkeypatch.setitem(cli_module._VERBS, ("series", "eta"), (broken, flags))
+        code, out, err = cli(capsys, "series", "eta", "--order", "10")
+        assert (code, out) == (70, "")
+        assert "Traceback" in err and "ValueError: planted verb fault" in err
+
+    def test_input_error_is_a_value_error(self):
+        assert isinstance(InputError("x"), ValueError)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            eta_power(1, -1)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -276,8 +292,8 @@ class TestDeterminism:
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
-# Out-of-range arguments that the engines reject with a bare ValueError;
-# run() must report each as malformed input: exit 2, one error line.
+# Out-of-range arguments that the engines reject with InputError; run()
+# must report each as malformed input: exit 2, one error line.
 OUT_OF_RANGE = [
     ("k3", "ky", "--hmax", "-1", "--yorder", "5"),
     ("k3", "kkv", "--hmax", "-1"),
@@ -303,6 +319,34 @@ def test_out_of_range_arguments_exit_2(capsys, monkeypatch, argv):
     code, out, err = cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Integer flags past CPython's int <-> str digit cap: an error message that
+# names the number prints it in full instead of failing on it (exit 70).
+BIG = "1" + "0" * 4400
+PAST_THE_CAP = [
+    (2, ("bps", "recompose", "--g", BIG, "--n", "1")),
+    (3, ("bps", "recompose", "--g", "1", "--n", "1,2", "--order", "-" + BIG)),
+    (2, ("bps", "decompose", "--g", "-" + BIG)),
+    (3, ("bps", "decompose", "--g", BIG)),
+    (2, ("bps", "validate", "--g", "-" + BIG)),
+    (3, ("hilb", "decompose", "--g", BIG)),
+    (3, ("curve", "nonsingular", "--g", "1", "--chi", "1", "--order", "-" + BIG)),
+    (3, ("curve", "nodal", "--order", "-" + BIG)),
+    (3, ("curve", "stratify", "--g", BIG, "--euler0", "0")),
+    (3, ("curve", "stratify", "--g", "1", "--euler0", "0", "--order", BIG)),
+    (3, ("curve", "stratify", "--g", "1", "--euler0", "0", "--order", "-" + BIG)),
+]
+
+
+@pytest.mark.parametrize("want, argv", PAST_THE_CAP,
+                         ids=[" ".join(argv).replace(BIG, "BIG") for _want, argv in PAST_THE_CAP])
+def test_flags_past_the_digit_cap(capsys, monkeypatch, want, argv):
+    doc = {"nodal": ELLIPTIC_NODAL, "stratify": NODE_GERM}.get(argv[1], series_json(0, [1]))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = cli(capsys, *argv)
+    assert (code, out) == (want, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestProcessExit:
