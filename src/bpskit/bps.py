@@ -36,8 +36,8 @@ from itertools import accumulate
 from operator import neg, sub
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _json_int, _json_ints,
-                     _Record, _times_binom)
+from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _json_ints, _Record,
+                     _times_binom)
 
 
 class BpsVector(_Record):
@@ -52,8 +52,7 @@ class BpsVector(_Record):
             raise InputError("g must be non-negative")
         object.__setattr__(self, "n", tuple(_as_int(v) for v in self.n))
         if len(self.n) != self.g + 1:
-            raise InputError(f"genus {_int_str(self.g)} needs {_int_str(self.g + 1)} entries, "
-                             f"got {len(self.n)}")
+            raise InputError(f"genus {self.g} needs {self.g + 1} entries, got {len(self.n)}")
 
     def __getitem__(self, r: int) -> int:
         return self.n[r]
@@ -117,6 +116,8 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
     """
     lo = series.min_exp
     cs = series.coeff_list()
+    if lo > c:  # nothing at or below x^c: every n_r is 0 and the series is the residual
+        return [0] * (top + 1), (lo, cs[0]) if cs else None
     k = c - top - lo  # terms below x^(c-top) pass to the residual untouched
     y = _times_binom(cs[k:] if k > 0 else [0] * -k + cs, -m, s)  # Y over [-top, order - c]
     p = y[:top + 1]  # P(u) must equal Y on [-top, 0]
@@ -132,25 +133,23 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
         n[1::2] = map(neg, n[1::2])
     hi = y[top + 1:]  # above x^0, Y - P with P_j = Y_-j
     d = list(map(sub, hi, y[top - 1::-1] if top else ())) + hi[top:]
-    for e, part in ((lo, cs[:max(k, 0)]), (c + 1, d)):
-        if any(part):
-            j = next(j for j, v in enumerate(part) if v)
-            return n, (e + j, part[j])
-    return n, None
+    if k > 0 and cs:  # the lowest term lies below every basis element
+        return n, (lo, cs[0])
+    j = next((j for j, v in enumerate(d) if v), None)
+    return n, None if j is None else (c + 1 + j, d[j])
 
 
 def _reject_residual(first, basis: str) -> None:
     """Raise NotBpsForm at the residual's lowest term, if the peel left one."""
     if first:
-        raise NotBpsForm(f"residual coefficient {_int_str(first[1])} at q^{first[0]} is not "
-                         f"generated by the {basis} basis", exponent=first[0])
+        raise NotBpsForm(f"residual coefficient {first[1]} at q^{first[0]} is not generated "
+                         f"by the {basis} basis", exponent=first[0])
 
 
 def _reach_base(order: int, g: int) -> None:
     """Raise InsufficientWindow when order lies below the base exponent 1 - g."""
     if order < 1 - g:
-        raise InsufficientWindow(
-            f"order {_int_str(order)} is below the base exponent {_int_str(1 - g)}")
+        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
 
 
 def pairs_basis_element(r: int, order: int) -> TruncSeries:
@@ -169,8 +168,8 @@ def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
 def _need_q1(series: TruncSeries, g: int) -> None:
     if series.order < 1:
         raise InsufficientWindow(
-            f"decomposition to genus {_int_str(g)} needs the window to reach q^1 "
-            f"(order is {series.order}); {_int_str(g + 1)} leading coefficients are required"
+            f"decomposition to genus {g} needs the window to reach q^1 "
+            f"(order is {series.order}); {g + 1} leading coefficients are required"
         )
 
 
@@ -248,16 +247,19 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
     _need_q1(s, g)
     lo, order = s.min_exp, s.order
     top = min(g - 1, order)  # identity_gg runs over 0 < n <= top
-    base = min(lo, -max(top, 1))
-    P = [0] * (lo - base) + s.coeff_list()  # P[z + n] is P_n on [base, order]
-    z = -base
-    N = P[z + 1] - P[z - 1] if g >= 2 else P[z + 1]
+    if lo > max(g, 1):  # nothing at or below q^g: N = 0, and identity_g0 fails at q^lo
+        N, fail_0, fail_gg, fail_g0 = 0, None, None, None if s.is_zero else lo
+    else:
+        base = min(lo, -max(top, 1))
+        P = [0] * (lo - base) + s.coeff_list()  # P[z + n] is P_n on [base, order]
+        z = -base
+        N = P[z + 1] - P[z - 1] if g >= 2 else P[z + 1]
 
-    fail_0 = lo if lo <= -g else None  # lo is the lowest nonzero exponent
-    fail_gg = next((m for m in range(1, top + 1)
-                    if P[z + m] - P[z - m] != (m * N if m % 2 else -m * N)), None)
-    fail_g0 = next((m for m in range(g, order + 1)
-                    if P[z + m] != (m * N if m % 2 else -m * N)), None)
+        fail_0 = lo if lo <= -g else None  # lo is the lowest nonzero exponent
+        fail_gg = next((m for m in range(1, top + 1)
+                        if P[z + m] - P[z - m] != (m * N if m % 2 else -m * N)), None)
+        fail_g0 = next((m for m in range(g, order + 1)
+                        if P[z + m] != (m * N if m % 2 else -m * N)), None)
     return GgtcReport(
         fail_0 is None and fail_gg is None and fail_g0 is None,
         IdentityCheck(fail_g0 is None, fail_g0),
@@ -288,8 +290,8 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
         raise InputError("g must be non-negative")
     if H.order < g + 1:
         raise InsufficientWindow(
-            f"genus-{_int_str(g)} Hilbert decomposition needs the window to reach "
-            f"q^{_int_str(g + 1)} (order is {H.order})"
+            f"genus-{g} Hilbert decomposition needs the window to reach q^{g + 1} "
+            f"(order is {H.order})"
         )
     n, first = _basis_peel(H, g, g, -1, -2)
     _reject_residual(first, f"genus-{g} Hilbert")

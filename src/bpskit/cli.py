@@ -36,16 +36,19 @@ from .curves import (
 )
 from .errors import InputError, PreconditionError, ValidationError
 from .k3 import _kkv_table, ky_series, signed_conversion_check, yau_zaslow
-from .series import TruncSeries, _big_int, _int_str, _int_strs, _json_int, _write_csv, eta_power
+from .series import TruncSeries, _int_str, _int_strs, _json_int, _write_csv, eta_power
+
+_get_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)  # no cap before CPython 3.10.7
+_set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -54,12 +57,7 @@ def _read_json(path: str):
 
     text = _read_text(path)
     try:
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:  # a JSON number past the int <-> str digit cap
-            return json.loads(text, parse_int=_big_int)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
@@ -176,8 +174,7 @@ def _load_pairs(args) -> PairsSeries:
     if args.g is not None:
         g = args.g  # PairsSeries rejects a negative genus
     elif g < 0:
-        raise InputError(f"genus inferred from min_exp {_int_str(series.min_exp)} is "
-                         "negative; pass --g")
+        raise InputError(f"genus inferred from min_exp {series.min_exp} is negative; pass --g")
     return PairsSeries(series, g)
 
 
@@ -528,6 +525,8 @@ def build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the exit code instead of raising."""
+    cap = _get_cap()
+    _set_cap(0)  # for the call, so that messages and output print ints of any size
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
@@ -542,13 +541,15 @@ def run(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # the output (or stdin) failed, not bpskit
+    except OSError as exc:  # the output failed, not bpskit
         return _io_error(exc)
     except Exception:
         import traceback  # only on this path: it adds to every start-up otherwise
 
         traceback.print_exc()
         return 70  # EX_SOFTWARE
+    finally:
+        _set_cap(cap)
 
 
 def _io_error(exc: OSError) -> int:

@@ -12,11 +12,10 @@ from collections.abc import Mapping
 from itertools import combinations
 from math import comb
 
-from .bps import (BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual,
-                  pairs_basis_element)
+from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual, pairs_basis_element
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _json_int, _pack, _Record,
-                     _unpack, q_negate)
+from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _pack, _Record, _unpack,
+                     q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -45,17 +44,15 @@ class NodalCurve(_Record):
         if self.g < 0 or self.r < 0:
             raise InputError("g and r must be non-negative")
         if self.r > self.g:
-            raise InputError(f"r = {_int_str(self.r)} nodes need genus >= r, got g = {self.g}")
+            raise InputError(f"r = {self.r} nodes need genus >= {self.r}, got g = {self.g}")
         norm = {}
         for S, v in self.chi.items():
             S = frozenset(_as_int(i, "node") for i in S)
-            if bad := [i for i in S if not 0 <= i < self.r]:
-                raise InputError(f"node {_int_str(bad[0])} lies outside 0..{self.r - 1}")
+            if any(i < 0 or i >= self.r for i in S):
+                raise InputError(f"subset {sorted(S)} names a node outside 0..{self.r - 1}")
             norm[S] = _as_int(v, "weight")
-        if len(norm) != 2 ** self.r:
-            raise InputError(
-                f"need weights for all 2^{self.r} node subsets, got {len(norm)}"
-            )
+        if len(norm).bit_length() != self.r + 1 or len(norm) != 2 ** self.r:  # r may be huge
+            raise InputError(f"need weights for all 2^{self.r} node subsets, got {len(norm)}")
         object.__setattr__(self, "chi", norm)
 
     def to_json(self) -> dict:
@@ -241,14 +238,14 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
     expected = milnor_from_geometry(g, e_smooth)
     if germ.mu != expected:
         raise MilnorMismatch(
-            f"mu = {_int_str(germ.mu)} but genus {_int_str(g)} with smooth-locus Euler "
-            f"characteristic {_int_str(e_smooth)} forces mu = {_int_str(expected)}"
+            f"mu = {germ.mu} but genus {g} with smooth-locus Euler characteristic "
+            f"{e_smooth} forces mu = {expected}"
         )
     signed = q_negate(germ.q_euler)
     if signed.order + (1 - g) < order:
         raise InsufficientWindow(
-            f"pairs series to q^{_int_str(order)} needs the punctual series exact through "
-            f"q^{_int_str(order + g - 1)}; window stops at q^{signed.order}"
+            f"pairs series to q^{order} needs the punctual series exact through "
+            f"q^{order + g - 1}; window stops at q^{signed.order}"
         )
     _reach_base(order, g)
     # the signed series is dense from its constant term 1

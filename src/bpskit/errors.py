@@ -22,9 +22,8 @@ class PreconditionError(BpskitError):
 
 
 class InputError(BpskitError, ValueError):
-    """Malformed input: bad JSON, a wrong schema, an unparsable flag or an
-    argument out of range.  Also a ValueError, so callers that catch
-    ValueError keep working."""
+    """Malformed input (bad JSON, a wrong schema, an unparsable flag, an
+    argument out of range); a ValueError too, for callers that catch that."""
 
 
 class EmptyWindow(PreconditionError):

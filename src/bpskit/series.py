@@ -674,8 +674,8 @@ class TruncSeries:
             raise InputError(f"bad series JSON: {exc}") from None
         if len(coeffs) != order - lo + 1:
             raise InputError(
-                f"series JSON window [{_int_str(lo)}, {_int_str(order)}] needs "
-                f"{_int_str(order - lo + 1)} coefficients, got {len(coeffs)}"
+                f"series JSON window [{lo}, {order}] needs {order - lo + 1} "
+                f"coefficients, got {len(coeffs)}"
             )
         return cls._raw(lo, coeffs, order)
 

@@ -132,7 +132,8 @@ big60 = st.one_of(st.just(0), st.integers(-10 ** 60, 10 ** 60))
 @st.composite
 def pairs_series(draw):
     """A genus-g pairs series: in BPS form (possibly perturbed at one
-    exponent) or arbitrary, with its window starting below 1 - g."""
+    exponent) or arbitrary, with its window starting below 1 - g, or above
+    q^g when arbitrary."""
     g = draw(st.integers(0, 40))
     if draw(st.booleans()):
         order = draw(st.integers(1 - g, g + 12))
@@ -144,8 +145,8 @@ def pairs_series(draw):
             i = draw(st.integers(0, len(cs) - 1))
             cs[i] += draw(st.integers(-10 ** 60, 10 ** 60).filter(bool))
         return PairsSeries(TruncSeries(lo, cs, order), g)
-    lo = draw(st.integers(-g - 4, 1 - g))
-    order = draw(st.integers(lo - 1, g + 12))
+    lo = draw(st.integers(-g - 4, 1 - g) | st.integers(g, g + 8))
+    order = draw(st.integers(lo - 1, max(lo, g) + 12))
     cs = draw(st.lists(big60, min_size=order - lo + 1, max_size=order - lo + 1))
     return PairsSeries(TruncSeries(lo, cs, order), g)
 
@@ -219,15 +220,16 @@ def test_stratify_multiplies_the_signed_punctual_series():
 def basis_cases(draw):
     """((c, s, m), top, n, order, Z) for the pairs, Hilbert, punctual and
     KKV bases: a sum window that may end below c - top (an empty sum), and
-    a peel input reaching x^c that starts below, at or above c - top, in
-    the span (possibly perturbed at one exponent) or arbitrary."""
+    a peel input reaching x^c that starts below, at or above c - top (or
+    above x^c), in the span (possibly perturbed at one exponent) or
+    arbitrary."""
     basis = draw(st.sampled_from(("pairs", "hilbert", "punctual", "kkv")))
     top = draw(st.integers(0, 8 if basis == "punctual" else 40))
     c, s, m = {"pairs": (1, 1, -2), "hilbert": (top, -1, -2), "kkv": (0, -1, 0),
                "punctual": (top, 1, -2 * top - draw(st.integers(0, 6)))}[basis]
     n = draw(st.lists(big60, min_size=top + 1, max_size=top + 1))
     order = draw(st.integers(c - top - 3, c + 20))
-    lo = draw(st.integers(c - top - 4, c - top + 4))
+    lo = draw(st.integers(c - top - 4, c - top + 4) | st.integers(c - 1, c + 8))
     peel_order = draw(st.integers(max(c, lo - 1), c + 20))
     if draw(st.booleans()):
         z = basis_sum_by_rows(n, peel_order, c, s, m)

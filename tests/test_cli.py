@@ -213,6 +213,16 @@ class TestExitCodes:
         code, _, _ = cli(capsys, "bps", "decompose", "--in", str(tmp_path / "no.json"))
         assert code == 2
 
+    def test_input_that_is_not_utf8_is_input_error(self, capsys, monkeypatch, tmp_path):
+        doc = json.dumps(series_json(0, [1, 2])).encode() + b"\xff"
+        path = tmp_path / "bad.json"
+        path.write_bytes(doc)
+        code, out, err = cli(capsys, "bps", "decompose", "--in", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8"))
+        code, out, err = cli(capsys, "bps", "decompose")
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = cli(capsys, "k3", "yz", "--hmax", "2", "--frmt", "csv")
         assert code == 2
@@ -344,9 +354,11 @@ PAST_THE_CAP = [
 def test_flags_past_the_digit_cap(capsys, monkeypatch, want, argv):
     doc = {"nodal": ELLIPTIC_NODAL, "stratify": NODE_GERM}.get(argv[1], series_json(0, [1]))
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    cap = sys.get_int_max_str_digits()
     code, out, err = cli(capsys, *argv)
     assert (code, out) == (want, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert sys.get_int_max_str_digits() == cap  # run() lifts the cap only for the call
 
 
 class TestProcessExit:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 
 from bpskit import BpsVector, bps_recompose
 from bpskit.cli import run
+from bpskit.series import _big_str
 
 # Integers under these keys set the amount of work (curve nodal --order 4
 # with g = 100000 is a 10^5-term window of huge binomials), so they stay
@@ -60,12 +61,15 @@ LEAVES = {sized: _ints(sized) | JSON_VALUES[sized] for sized in (False, True)}  
 
 @st.composite
 def mutants(draw, doc):
-    """doc with one leaf replaced by another JSON value, or one array entry
-    dropped or duplicated."""
+    """doc with one leaf replaced by another JSON value, one array entry
+    dropped or duplicated, or one series window [min_exp, order] moved by
+    any amount, its length kept."""
     doc = copy.deepcopy(doc)
-    leaves, entries = [], []
+    leaves, entries, windows = [], [], []
 
     def walk(node, path):
+        if type(node) is dict and "min_exp" in node and "order" in node:
+            windows.append(node)
         for k, v in node.items() if type(node) is dict else enumerate(node):
             if type(node) is list:
                 entries.append(path + (k,))
@@ -75,7 +79,14 @@ def mutants(draw, doc):
                 leaves.append(path + (k,))
 
     walk(doc, ())
-    how = draw(st.sampled_from(["replace", "drop", "duplicate"] if entries else ["replace"]))
+    hows = ["replace", "drop", "duplicate"] if entries else ["replace"]
+    how = draw(st.sampled_from(hows + ["shift"] * 3 if windows else hows))
+    if how == "shift":
+        window = draw(st.sampled_from(windows))
+        by = draw(st.integers() | st.sampled_from([10 ** 4400, -10 ** 4400]))  # BIG
+        for k in ("min_exp", "order"):
+            window[k] = _big_str(int(window[k]) + by)
+        return doc
     path = draw(st.sampled_from(leaves if how == "replace" else entries))
     parent, k = reduce(getitem, path[:-1], doc), path[-1]
     if how == "replace":
@@ -125,17 +136,23 @@ WINDOW_PAST_THE_CAP = _with(PAIRS, ("series", "min_exp"), "-" + BIG)  # the wind
 NODES_PAST_THE_CAP = _with(NODAL[0], ("r",), BIG)  # r > g
 NODE_LABEL_PAST_THE_CAP = {"g": 1, "r": 1, "chi": {"": 4, BIG: 7}}  # a node outside 0..r-1
 MU_PAST_THE_CAP = _with(GERMS[0], ("mu",), BIG)  # MilnorMismatch, before any work
+WINDOW_BELOW = {"min_exp": "-" + BIG, "order": "-" + BIG, "coeffs": [1]}  # too short a window
+WINDOW_ABOVE = {"min_exp": BIG, "order": BIG, "coeffs": [1]}  # a peel over 10^4400 zeros
+GENUS_PAST_THE_CAP = {"g": BIG, "r": "2" + BIG[1:], "chi": {"": 1}}  # r > g
+NODES_PAST_THE_CAP_TOO = {"g": BIG, "r": BIG, "chi": {"": 1}}  # 2^r subsets
 
 test_bps_decompose = _fuzz(["bps", "decompose"], [PAIRS, PAIRS["series"]],
-                           [RESIDUAL_PAST_THE_CAP, WINDOW_PAST_THE_CAP])
+                           [RESIDUAL_PAST_THE_CAP, WINDOW_PAST_THE_CAP, WINDOW_BELOW])
 test_bps_decompose_g = _fuzz(["bps", "decompose", "--g", "2"], [PAIRS, PAIRS["series"]],
-                             [RESIDUAL_PAST_THE_CAP])
-test_bps_validate = _fuzz(["bps", "validate"], [PAIRS, PAIRS["series"]])
-test_bps_validate_g = _fuzz(["bps", "validate", "--g", "2"], [PAIRS, PAIRS["series"]])
+                             [RESIDUAL_PAST_THE_CAP, WINDOW_ABOVE])
+test_bps_validate = _fuzz(["bps", "validate"], [PAIRS, PAIRS["series"]], [WINDOW_BELOW])
+test_bps_validate_g = _fuzz(["bps", "validate", "--g", "2"], [PAIRS, PAIRS["series"]],
+                            [WINDOW_ABOVE])
 test_hilb_decompose = _fuzz(["hilb", "decompose", "--g", "1"], [HILB],
-                            [_with(HILB, ("coeffs", 3), BIG)])
+                            [_with(HILB, ("coeffs", 3), BIG), WINDOW_BELOW, WINDOW_ABOVE])
 test_curve_nodal = _fuzz(["curve", "nodal"], NODAL,
-                         [NODES_PAST_THE_CAP, NODE_LABEL_PAST_THE_CAP])
+                         [NODES_PAST_THE_CAP, NODE_LABEL_PAST_THE_CAP, GENUS_PAST_THE_CAP,
+                          NODES_PAST_THE_CAP_TOO])
 test_curve_nodal_order = _fuzz(["curve", "nodal", "--order", "6"], NODAL)
 test_curve_qseries = _fuzz(["curve", "qseries"], GERMS)
 test_curve_stratify = _fuzz(["curve", "stratify", "--g", "1", "--euler0", "0", "--order", "6"],
