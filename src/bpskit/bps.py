@@ -48,8 +48,7 @@ class BpsVector(_Record):
     n: tuple[int, ...]
 
     def _check(self):
-        if self.g < 0:
-            raise InputError("g must be non-negative")
+        _as_int(self.g, "g", 0)
         object.__setattr__(self, "n", tuple(_as_int(v) for v in self.n))
         if len(self.n) != self.g + 1:
             raise InputError(f"genus {self.g} needs {self.g + 1} entries, got {len(self.n)}")
@@ -76,8 +75,7 @@ class PairsSeries(_Record):
     g: int
 
     def _check(self):
-        if self.g < 0:
-            raise InputError("g must be non-negative")
+        _as_int(self.g, "g", 0)
 
     def to_json(self) -> dict:
         return {"g": self.g, "series": self.series.to_json()}
@@ -97,12 +95,12 @@ def _basis_sum(n, order: int, c: int, s: int, m: int) -> TruncSeries:
     """sum n_r x^(c-r) (1 + s x)^(2r+m) over r = 0 .. top = len(n) - 1,
     exact on [c - top, order]: x^c (1 + s x)^m P(u) with P(u) = sum n_r u^r."""
     top = len(n) - 1
-    lo = min(c - top, order + 1)
+    lo = min(c - top, _as_int(order, "order") + 1)
+    width = _as_int(order - lo + 1, "window length", 0)
     half = [0] * (top + 1)  # P at x^-top .. x^0: u^r contributes r + 1 terms
     for r, nr in enumerate(n):
         if nr:
             _add_binom_row(half, top - r, nr, 2 * r, s)
-    width = order - lo + 1
     p = (half + half[-2::-1] + [0] * width)[:width]  # P at x^j is P at x^-j
     return TruncSeries._raw(lo, _times_binom(p, m, s), order)
 
@@ -146,17 +144,17 @@ def _reject_residual(first, basis: str) -> None:
                          f"by the {basis} basis", exponent=first[0])
 
 
-def _reach_base(order: int, g: int) -> None:
-    """Raise InsufficientWindow when order lies below the base exponent 1 - g."""
-    if order < 1 - g:
+def _reach_base(order: int, g: int) -> int:
+    """The length order + g of the window [1 - g, order]; InsufficientWindow
+    when order lies below the base exponent 1 - g."""
+    if _as_int(order, "order") < 1 - g:
         raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
+    return _as_int(order + g, "window length", 0)
 
 
 def pairs_basis_element(r: int, order: int) -> TruncSeries:
     """B_r = q^(1-r) (1+q)^(2r-2) truncated to `order`; B_0 = q (1+q)^-2."""
-    if r < 0:
-        raise InputError("r must be non-negative")
-    return _basis_sum((0,) * r + (1,), order, *_PAIRS)
+    return _basis_sum((0,) * _as_int(r, "r", 0) + (1,), order, *_PAIRS)
 
 
 def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
@@ -272,11 +270,7 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
 
 def hilbert_basis_element(r: int, g: int, order: int) -> TruncSeries:
     """q^(g-r) (1-q)^(2r-2) truncated to `order`."""
-    if r < 0:
-        raise InputError("r must be non-negative")
-    if g < 0:
-        raise InputError("g must be non-negative")
-    return _basis_sum((0,) * r + (1,), order, g, -1, -2)
+    return _basis_sum((0,) * _as_int(r, "r", 0) + (1,), order, _as_int(g, "g", 0), -1, -2)
 
 
 def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
@@ -286,9 +280,7 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
     coefficient, so the peel starts at q^0 with r = g.  The window must
     reach q^(g+1); any surviving residual raises NotBpsForm.
     """
-    if g < 0:
-        raise InputError("g must be non-negative")
-    if H.order < g + 1:
+    if H.order < _as_int(g, "g", 0) + 1:
         raise InsufficientWindow(
             f"genus-{g} Hilbert decomposition needs the window to reach q^{g + 1} "
             f"(order is {H.order})"

@@ -45,6 +45,8 @@ _set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started without fd 0
+                raise OSError("stdin is closed")
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as f:
             return f.read()

@@ -21,9 +21,8 @@ from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _pack, _Re
 def sym_euler(e: int, k: int) -> int:
     """Euler characteristic of the k-th symmetric product of a space with
     Euler characteristic e: the q^k coefficient of (1 - q)^(-e)."""
-    if k < 0:
-        raise InputError("k must be non-negative")
-    if e > 0:
+    k = _as_int(k, "k", 0)
+    if _as_int(e, "e") > 0:
         return comb(e + k - 1, k)
     return (-1) ** k * comb(-e, k)
 
@@ -41,8 +40,8 @@ class NodalCurve(_Record):
     chi: Mapping[frozenset, int]
 
     def _check(self):
-        if self.g < 0 or self.r < 0:
-            raise InputError("g and r must be non-negative")
+        _as_int(self.g, "g", 0)
+        _as_int(self.r, "r", 0)
         if self.r > self.g:
             raise InputError(f"r = {self.r} nodes need genus >= {self.r}, got g = {self.g}")
         norm = {}
@@ -73,8 +72,9 @@ class NodalCurve(_Record):
 
 
 class SingularityGerm(_Record):
-    """A planar germ with delta invariant, Milnor number and the generating
-    series of Euler characteristics of its punctual quotient schemes."""
+    """A planar germ with delta invariant, mu = 1 - (Milnor number) (see
+    milnor_from_geometry) and the generating series of Euler
+    characteristics of its punctual quotient schemes."""
 
     __slots__ = ("delta", "mu", "q_euler")
     delta: int
@@ -82,8 +82,8 @@ class SingularityGerm(_Record):
     q_euler: TruncSeries
 
     def _check(self):
-        if self.delta < 0:
-            raise InputError("delta must be non-negative")
+        _as_int(self.delta, "delta", 0)
+        _as_int(self.mu, "mu")
         if self.q_euler.min_exp != 0 or self.q_euler.coeff(0) != 1:
             raise InputError("the punctual series must start with constant term 1")
 
@@ -100,19 +100,25 @@ class SingularityGerm(_Record):
 
 
 def node_germ(order: int) -> SingularityGerm:
-    """The ordinary node: delta = 1, mu = 0, punctual Euler numbers 1, 1, 2, 3, ..."""
-    coeffs = [1] + list(range(1, order + 1))
+    """The ordinary node: delta = 1, mu = 0 (its Milnor number is 1), punctual
+    Euler numbers 1, 1, 2, 3, ..."""
+    coeffs = [1] + list(range(1, _as_int(order, "order", 0) + 1))
     return SingularityGerm(1, 0, TruncSeries(0, coeffs, order))
 
 
 def smooth_germ(order: int) -> SingularityGerm:
-    """A smooth point: delta = 0, mu = 0, punctual series 1."""
-    return SingularityGerm(0, 0, TruncSeries.from_terms({0: 1}, order=order))
+    """A smooth point as no point at all: delta = 0, mu = 0, punctual series 1
+    (as a point of its own, mu = 1 and 1 / (1 - q) give the same pairs series)."""
+    return SingularityGerm(0, 0, TruncSeries.from_terms({0: 1}, order=_as_int(order, "order", 0)))
 
 
 def milnor_from_geometry(g: int, e_smooth: int) -> int:
-    """Milnor number forced by genus g and the Euler characteristic of the
-    curve's smooth locus when the germ is the curve's only singularity."""
+    """The germ's mu forced by genus g and the Euler characteristic of the
+    curve's smooth locus when the germ is the curve's only singularity.
+
+    It is not the Milnor number M: as e(C) = 2 - 2g + M, it is 1 - M, which
+    is b - 2 delta for a germ with b branches (0 for the node, -1 for the cusp).
+    """
     return (2 - 2 * g) - e_smooth
 
 
@@ -122,10 +128,9 @@ def nonsingular_contribution(g: int, chi: int, order: int) -> tuple[BpsVector, P
     Only the top genus contributes: n_g = (-1)^g chi, with pairs series
     (-1)^g chi q^(1-g) (1+q)^(2g-2).
     """
-    if g < 0:
-        raise InputError("g must be non-negative")
+    g = _as_int(g, "g", 0)
     _reach_base(order, g)
-    top = (-1) ** g * chi
+    top = (-1) ** g * _as_int(chi, "chi")
     n = [0] * (g + 1)
     n[g] = top
     series = pairs_basis_element(g, order).scale(top) if top else TruncSeries.zero(order)
@@ -161,11 +166,11 @@ def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
     followed by recomposition.
     """
     g = curve.g
-    _reach_base(order, g)
+    width = _reach_base(order, g)
     strata = [0] * (curve.r + 1)
     for S, v in curve.chi.items():
         strata[len(S)] += v
-    acc = [0] * (order + g)  # q^(1-g) .. q^order
+    acc = [0] * width  # q^(1-g) .. q^order
     for size, v in enumerate(strata):
         h = g - size  # the row is (-1)^h v q^(1-h) (1+q)^(2h-2), from acc[size]
         if v:
@@ -201,17 +206,18 @@ def _times_one_plus_q_pow(a: list, e: int, n: int) -> list:
     times (1 + 2^b)^e modulo 2^(bn), which exists for e < 0 too since
     1 + 2^b is odd.  Slot width: every output coefficient obeys
 
-        |[q^j] a (1+q)^e| <= max|a| sum_(k<n) |C(e, k)| <= max|a| 2^(|e|+n),
+        |[q^j] a (1+q)^e| <= max|a| sum_(k<n) |C(e, k)| <= max|a| 2^t,
 
-    the sum being at most 2^e for e >= 0 and C(n-1-e, n-1) < 2^(n-1-e)
-    for e < 0.  b is the bit length of that bound plus one sign bit,
-    rounded up to whole bytes, the layout of series._pack and _unpack.
+    the sum being at most 2^e and (e+1)^(n-1) (C(e, k) <= C(n-1, k) e^k) for
+    e >= 0 and C(n-1-e, n-1) < 2^(n-1-e) for e < 0.  b is t plus the bit
+    length of max|a| plus one sign bit, rounded up to whole bytes, the
+    layout of series._pack and _unpack.
     """
     if n <= 0:
         return []
     a = a[:n] + [0] * (n - len(a))
-    bits = max(map(abs, a)).bit_length() + (e if e >= 0 else n - 1 - e) + 1
-    nbytes = (bits + 7) // 8
+    t = min(e, (n - 1) * (e + 1).bit_length()) if e >= 0 else n - 1 - e
+    nbytes = (max(map(abs, a)).bit_length() + t + 8) // 8
     b = 8 * nbytes
     if e >= 0:
         x = pow(1 + (1 << b), e, 1 << (b * n))
@@ -230,26 +236,25 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
     with smooth locus of Euler characteristic e_smooth.
 
     The series is (signed punctual series) * q^(1-g) * (1+q)^(-e_smooth),
-    one packed product.  The germ's Milnor number must satisfy
-    mu = (2 - 2g) - e_smooth.
+    one packed product.  The germ's mu must be milnor_from_geometry(g,
+    e_smooth) = (2 - 2g) - e_smooth.
     """
-    if g < 0:
-        raise InputError("g must be non-negative")
-    expected = milnor_from_geometry(g, e_smooth)
+    g = _as_int(g, "g", 0)
+    expected = milnor_from_geometry(g, _as_int(e_smooth, "e_smooth"))
     if germ.mu != expected:
         raise MilnorMismatch(
             f"mu = {germ.mu} but genus {g} with smooth-locus Euler characteristic "
             f"{e_smooth} forces mu = {expected}"
         )
+    width = _reach_base(order, g)
     signed = q_negate(germ.q_euler)
     if signed.order + (1 - g) < order:
         raise InsufficientWindow(
             f"pairs series to q^{order} needs the punctual series exact through "
             f"q^{order + g - 1}; window stops at q^{signed.order}"
         )
-    _reach_base(order, g)
     # the signed series is dense from its constant term 1
-    out = _times_one_plus_q_pow(signed.coeff_list(), -e_smooth, order + g)
+    out = _times_one_plus_q_pow(signed.coeff_list(), -e_smooth, width)
     return PairsSeries(TruncSeries._raw(1 - g, out, order), g)
 
 

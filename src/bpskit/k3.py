@@ -142,23 +142,9 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
     return rows
 
 
-def _h_max(h_max) -> int:
-    h_max = _as_int(h_max, "h_max")
-    if h_max < 0:
-        raise InputError("h_max must be non-negative")
-    return h_max
-
-
-def _ky_window(h_max, y_order) -> tuple[int, int]:
-    h_max = _h_max(h_max)
-    if _as_int(y_order, "y_order") < 1:
-        raise InputError("y_order must be at least 1")
-    return h_max, y_order
-
-
 def _kkv_table(h_max: int) -> "KkvTable":
     """Genus table r_(g,h) = (-1)^g [t^g q^h] E^-18 F^-2 through q^h_max."""
-    h_max = _h_max(h_max)
+    h_max = _as_int(h_max, "h_max", 0)
     rows = {}
     for h, row in enumerate(_theta_rows(h_max, t=True)):
         row[1::2] = map(neg, row[1::2])
@@ -305,14 +291,14 @@ def ky_series(h_max: int, y_order: int) -> K3PairsSeries:
     Equals y (1-y)^-2 prod_{n>=1} (1-q^n)^-20 (1-y q^n)^-2 (1-y^-1 q^n)^-2;
     the q^0 row is y (1-y)^-2 itself.
     """
-    h_max, y_order = _ky_window(h_max, y_order)
+    h_max, y_order = _as_int(h_max, "h_max", 0), _as_int(y_order, "y_order", 1)
     return K3PairsSeries(_ky_rows(h_max, y_order, 1), y_order)
 
 
 def kkv_product(h_max: int) -> BiSeries:
     """prod_{n>=1} (1-q^n)^-20 (1-z q^n)^-2 (1-z^-1 q^n)^-2 through q^h_max."""
     return BiSeries(LaurentPoly._raw({j - h: v for j, v in enumerate(row) if v})
-                    for h, row in enumerate(_theta_rows(_h_max(h_max))))
+                    for h, row in enumerate(_theta_rows(_as_int(h_max, "h_max", 0))))
 
 
 def kkv_decompose(B: BiSeries) -> KkvTable:
@@ -343,7 +329,7 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
 
 def yau_zaslow(h_max: int) -> TruncSeries:
     """Rational-curve counts in primitive classes: prod (1-q^n)^-24."""
-    return eta_power(-24, _h_max(h_max))
+    return eta_power(-24, _as_int(h_max, "h_max", 0))
 
 
 class SignedCheckReport(_Record):
@@ -376,7 +362,7 @@ def signed_conversion_check(h_max: int, y_order: int, tamper=None) -> SignedChec
     guaranteed to be reported as that (h, n); outside the window
     1 - h <= n <= y_order, h <= h_max it changes nothing.
     """
-    h_max, y_order = _ky_window(h_max, y_order)
+    h_max, y_order = _as_int(h_max, "h_max", 0), _as_int(y_order, "y_order", 1)
     first = None
     for h, (got, want) in enumerate(zip(_ky_dense(h_max, y_order, 1),
                                         _ky_dense(h_max, y_order, -1))):

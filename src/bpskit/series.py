@@ -22,12 +22,20 @@ from itertools import accumulate, islice
 from operator import add, neg, sub
 
 from . import kernels
-from .errors import EmptyWindow, InputError, InsufficientWindow, NonUnitLeading
+from .errors import EmptyWindow, InputError, InsufficientWindow, NonUnitLeading, PreconditionError
 
 
-def _as_int(x, what="coefficient"):
+def _as_int(x, what="coefficient", least=None):
+    """x if it is an int, not a bool (TypeError otherwise).  Given least, x
+    counts something or sizes a window: below least it raises InputError,
+    and past sys.maxsize, longer than any list, PreconditionError."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"{what} must be an int, not {type(x).__name__}")
+    if least is not None:
+        if x < least:
+            raise InputError(f"{what} must be " + (f"at least {least}" if least else "non-negative"))
+        if x > sys.maxsize:
+            raise PreconditionError(f"{what} {_int_str(x)} is past sys.maxsize: no list is that long")
     return x
 
 
@@ -382,8 +390,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("only non-negative integer powers are defined")
+        k = _as_int(k, "power", 0)
         out = LaurentPoly({0: 1})
         base = self
         while k:
@@ -457,19 +464,16 @@ class TruncSeries:
 
     def __init__(self, min_exp: int, coeffs, order: int | None = None):
         coeffs = [_as_int(c) for c in coeffs]
+        min_exp = _as_int(min_exp, "min_exp")
         if order is None:
             order = min_exp + len(coeffs) - 1
-        if len(coeffs) != order - min_exp + 1:
+        elif len(coeffs) != _as_int(order, "order") - min_exp + 1:
             raise InputError(
                 f"window [{min_exp}, {order}] needs {order - min_exp + 1} "
                 f"coefficients, got {len(coeffs)}"
             )
-        lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
-            lead += 1
-        self._min = min_exp + lead
-        self._order = order
-        self._coeffs = tuple(coeffs[lead:])
+        s = self._raw(min_exp, coeffs, order)
+        self._min, self._order, self._coeffs = s._min, s._order, s._coeffs
 
     @classmethod
     def _raw(cls, min_exp: int, coeffs: list, order: int) -> "TruncSeries":
@@ -501,7 +505,7 @@ class TruncSeries:
         lo = min(nz) if nz else order + 1
         if min_exp is not None:
             lo = min(lo, min_exp)
-        coeffs = [0] * (order - lo + 1)
+        coeffs = [0] * _as_int(order - lo + 1, "window length", 0)
         for e, c in nz.items():
             coeffs[e - lo] = c
         return cls(lo, coeffs, order)
@@ -593,6 +597,7 @@ class TruncSeries:
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by q**k."""
+        k = _as_int(k, "shift")
         s = TruncSeries.__new__(TruncSeries)
         s._min = self._min + k
         s._order = self._order + k
@@ -601,7 +606,7 @@ class TruncSeries:
 
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order` (which must not exceed self.order)."""
-        if order > self._order:
+        if _as_int(order, "order") > self._order:
             raise InsufficientWindow(
                 f"cannot extend window: order {order} exceeds known order {self._order}"
             )
@@ -620,6 +625,7 @@ class TruncSeries:
         an input exact to q**o certifies the inverse only through
         q**(o - 2v); asking beyond that raises InsufficientWindow.
         """
+        order = _as_int(order, "order")
         if not self._coeffs:
             raise NonUnitLeading("the zero series has no multiplicative inverse")
         lead = self._coeffs[0]
@@ -755,11 +761,10 @@ def binom_pow(e: int, sign: str, order: int) -> TruncSeries:
 
     Exact on [0, order] for any integer e.
     """
+    e = _as_int(e, "exponent")
     if sign not in ("plus", "minus"):
         raise InputError(f"sign must be 'plus' or 'minus', not {sign!r}")
-    if order < 0:
-        raise InputError("order must be non-negative")
-    cs = [0] * (order + 1)
+    cs = [0] * (_as_int(order, "order", 0) + 1)
     _add_binom_row(cs, 0, 1, e, 1 if sign == "plus" else -1)
     return TruncSeries._raw(0, cs, order)
 
@@ -780,8 +785,7 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
     c must be +1 or -1.  The q^h coefficient has z-support within
     [-A*h, A*h] where A = max|a|.
     """
-    if order_q < 0:
-        raise InputError("order_q must be non-negative")
+    order_q = _as_int(order_q, "order_q", 0)
     factors3 = [
         (_as_int(a, "z-exponent"), _as_int(e, "exponent"), _as_int(c, "factor coefficient"))
         for a, e, c in factors3
@@ -794,7 +798,7 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
         acc = eta_power(sum(e for _a, e, _c in factors3), order_q).coeff_list()
         return BiSeries(LaurentPoly({0: v}) for v in acc)
 
-    width = 2 * amax * order_q + 1
+    width = _as_int(2 * amax * order_q + 1, "z-window length", 0)
     center = amax * order_q
     rows = [[0] * width for _ in range(order_q + 1)]
     rows[0][center] = 1
@@ -843,8 +847,7 @@ def eta_power(e: int, order: int) -> TruncSeries:
     division by n is exact; a remainder raises ArithmeticError.
     """
     e = _as_int(e, "exponent")
-    if _as_int(order, "order") < 0:
-        raise InputError("order must be non-negative")
+    order = _as_int(order, "order", 0)
     plus, minus = [], []  # (k, (e+1) k) for each k >= 1 with f_k = +1 / -1
     m = 1
     while (k := m * (3 * m - 1) // 2) <= order:

@@ -203,6 +203,7 @@ def packed_cases(draw):
 @example(([1], -40, 400))
 @example(([-(10 ** 300)] * 400, 200, 400))
 @example(([10 ** 300] * 400, -40, 400))
+@example(([-(10 ** 300)] * 9, 30000, 9))
 def test_packed_product_matches_the_schoolbook_product(case):
     a, e, n = case
     assert _times_one_plus_q_pow(a, e, n) == binom_pow_product(a, e, n)

@@ -223,6 +223,13 @@ class TestExitCodes:
         code, out, err = cli(capsys, "bps", "decompose")
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_closed_stdin_is_input_error(self):
+        # a process started without fd 0 has sys.stdin None
+        proc = _bpskit("bps", "decompose", capture_output=True, text=True,
+                       preexec_fn=lambda: os.close(0))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: cannot read -: stdin is closed\n"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = cli(capsys, "k3", "yz", "--hmax", "2", "--frmt", "csv")
         assert code == 2
@@ -335,7 +342,7 @@ def test_out_of_range_arguments_exit_2(capsys, monkeypatch, argv):
 # names the number prints it in full instead of failing on it (exit 70).
 BIG = "1" + "0" * 4400
 PAST_THE_CAP = [
-    (2, ("bps", "recompose", "--g", BIG, "--n", "1")),
+    (3, ("bps", "recompose", "--g", BIG, "--n", "1")),
     (3, ("bps", "recompose", "--g", "1", "--n", "1,2", "--order", "-" + BIG)),
     (2, ("bps", "decompose", "--g", "-" + BIG)),
     (3, ("bps", "decompose", "--g", BIG)),
@@ -359,6 +366,37 @@ def test_flags_past_the_digit_cap(capsys, monkeypatch, want, argv):
     assert (code, out) == (want, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sys.get_int_max_str_digits() == cap  # run() lifts the cap only for the call
+
+
+# Counts and windows past sys.maxsize, longer than any list: exit 3 with one
+# error line, before any loop or allocation over the window.  These exited
+# 70 (OverflowError) or ran the pentagonal loop for hours.
+HUGE = str(10 ** 20)
+PAST_MAXSIZE = [
+    ("bps", "recompose", "--g", "1", "--n", "1,2", "--order", HUGE),
+    ("bps", "decompose", "--g", HUGE),
+    ("hilb", "decompose", "--g", HUGE),
+    ("curve", "nonsingular", "--g", HUGE, "--chi", "1"),
+    ("curve", "nonsingular", "--g", "1", "--chi", "1", "--order", HUGE),
+    ("curve", "nodal", "--order", HUGE),
+    ("curve", "stratify", "--g", HUGE, "--euler0", "0"),
+    ("k3", "ky", "--hmax", "2", "--yorder", HUGE),
+    ("k3", "ky", "--hmax", HUGE, "--yorder", "5"),
+    ("k3", "signed-check", "--hmax", "2", "--yorder", HUGE),
+    ("k3", "signed-check", "--hmax", HUGE, "--yorder", "5"),
+    ("k3", "yz", "--hmax", HUGE),
+    ("k3", "kkv", "--hmax", HUGE),
+    ("series", "eta", "--order", HUGE),
+]
+
+
+@pytest.mark.parametrize("argv", PAST_MAXSIZE, ids=lambda argv: " ".join(argv).replace(HUGE, "HUGE"))
+def test_windows_past_maxsize_exit_3(capsys, monkeypatch, argv):
+    doc = {"nodal": ELLIPTIC_NODAL, "stratify": NODE_GERM}.get(argv[1], series_json(0, [1, 2, 3]))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = cli(capsys, *argv)
+    assert (code, out) == (3, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sys.maxsize" in err
 
 
 class TestProcessExit:

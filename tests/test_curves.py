@@ -233,6 +233,13 @@ class TestStratify:
         with pytest.raises(ValueError, match="g must be non-negative"):
             stratify_pairs_series(node_germ(8), e_smooth, -1, order)
 
+    def test_large_euler_characteristic(self):
+        # (1+q)^100000 on a few slots: the slot width follows the window,
+        # not the exponent
+        germ = SingularityGerm(1, 10 ** 5, node_germ(8).q_euler)
+        got = stratify_pairs_series(germ, -10 ** 5, 1, 8).series
+        assert got == q_negate(germ.q_euler) * binom_pow(10 ** 5, "plus", 8)
+
     def test_punctual_window_guard(self):
         # pairs window to q^5 at genus 1 needs the punctual series through q^5
         with pytest.raises(InsufficientWindow):

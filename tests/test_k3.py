@@ -2,6 +2,7 @@
 symmetric product, rational-curve counts, signed conversion identity."""
 
 import io
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,31 @@ import hypothesis.strategies as st
 from bpskit import (
     AsymmetricInput,
     BiSeries,
+    BpsVector,
     InputError,
     InsufficientWindow,
     KkvTable,
     LaurentPoly,
+    NodalCurve,
+    PairsSeries,
+    PreconditionError,
+    SingularityGerm,
+    binom_pow,
+    bps_recompose,
     eta_power,
+    hilbert_basis_element,
+    hilbert_decompose,
     kkv_decompose,
     kkv_product,
     ky_series,
+    nodal_pairs_series,
+    node_germ,
+    nonsingular_contribution,
+    pairs_basis_element,
     signed_conversion_check,
+    smooth_germ,
+    stratify_pairs_series,
+    sym_euler,
     yau_zaslow,
 )
 from bpskit import kernels, product_family
@@ -74,6 +91,40 @@ WINDOW_CALLS = {
     "_kkv_table": _kkv_table,
     "signed_conversion_check h_max": lambda x: signed_conversion_check(x, 3),
     "signed_conversion_check y_order": lambda x: signed_conversion_check(2, x),
+    "eta_power exponent": lambda x: eta_power(x, 5),
+    "binom_pow e": lambda x: binom_pow(x, "plus", 3),
+    "binom_pow order": lambda x: binom_pow(2, "minus", x),
+    "product_family": lambda x: product_family([(1, -2)], x),
+    "TruncSeries min_exp": lambda x: TruncSeries(x, [1, 2]),
+    "TruncSeries order": lambda x: TruncSeries(0, [1, 2, 3], x),
+    "TruncSeries.inverse": lambda x: TruncSeries(0, [1, 2, 3]).inverse(x),
+    "TruncSeries.truncate": lambda x: TruncSeries(0, [1, 2, 3]).truncate(x),
+    "TruncSeries.shift": lambda x: TruncSeries(0, [1, 2, 3]).shift(x),
+    "LaurentPoly.__pow__": lambda x: LaurentPoly({1: 1, 2: 1}) ** x,
+    "BpsVector g": lambda x: BpsVector(x, (1, 2)),
+    "PairsSeries g": lambda x: PairsSeries(TruncSeries(0, [1, 2, 3]), x),
+    "pairs_basis_element r": lambda x: pairs_basis_element(x, 4),
+    "pairs_basis_element order": lambda x: pairs_basis_element(1, x),
+    "hilbert_basis_element r": lambda x: hilbert_basis_element(x, 1, 4),
+    "hilbert_basis_element g": lambda x: hilbert_basis_element(0, x, 4),
+    "hilbert_basis_element order": lambda x: hilbert_basis_element(0, 1, x),
+    "hilbert_decompose": lambda x: hilbert_decompose(TruncSeries(0, [1, 2, 3, 4, 5]), x),
+    "bps_recompose": lambda x: bps_recompose(BpsVector(1, (1, 2)), x),
+    "sym_euler e": lambda x: sym_euler(x, 2),
+    "sym_euler k": lambda x: sym_euler(2, x),
+    "NodalCurve g": lambda x: NodalCurve(x, 0, {frozenset(): 1}),
+    "NodalCurve r": lambda x: NodalCurve(2, x, {frozenset(): 1}),
+    "SingularityGerm delta": lambda x: SingularityGerm(x, 0, TruncSeries(0, [1, 1])),
+    "SingularityGerm mu": lambda x: SingularityGerm(1, x, TruncSeries(0, [1, 1])),
+    "node_germ": node_germ,
+    "smooth_germ": smooth_germ,
+    "nonsingular_contribution g": lambda x: nonsingular_contribution(x, 1, 4),
+    "nonsingular_contribution chi": lambda x: nonsingular_contribution(1, x, 4),
+    "nonsingular_contribution order": lambda x: nonsingular_contribution(1, 1, x),
+    "nodal_pairs_series": lambda x: nodal_pairs_series(NodalCurve(1, 0, {frozenset(): 1}), x),
+    "stratify_pairs_series e_smooth": lambda x: stratify_pairs_series(node_germ(8), x, 1, 4),
+    "stratify_pairs_series g": lambda x: stratify_pairs_series(node_germ(8), 0, x, 4),
+    "stratify_pairs_series order": lambda x: stratify_pairs_series(node_germ(8), 0, 1, x),
 }
 
 
@@ -82,6 +133,57 @@ WINDOW_CALLS = {
 def test_window_arguments_are_not_coerced(call, value):
     with pytest.raises(TypeError, match="must be an int, not"):
         call(value)
+
+
+# The counts of WINDOW_CALLS, each with the largest value below its range
+# and the InputError it raises.
+BELOW_RANGE = {
+    "eta_power": (-1, "order must be non-negative"),
+    "yau_zaslow": (-1, "h_max must be non-negative"),
+    "ky_series h_max": (-1, "h_max must be non-negative"),
+    "ky_series y_order": (0, "y_order must be at least 1"),
+    "kkv_product": (-1, "h_max must be non-negative"),
+    "_kkv_table": (-1, "h_max must be non-negative"),
+    "signed_conversion_check h_max": (-1, "h_max must be non-negative"),
+    "signed_conversion_check y_order": (0, "y_order must be at least 1"),
+    "binom_pow order": (-1, "order must be non-negative"),
+    "product_family": (-1, "order_q must be non-negative"),
+    "LaurentPoly.__pow__": (-1, "power must be non-negative"),
+    "BpsVector g": (-1, "g must be non-negative"),
+    "PairsSeries g": (-1, "g must be non-negative"),
+    "pairs_basis_element r": (-1, "r must be non-negative"),
+    "hilbert_basis_element r": (-1, "r must be non-negative"),
+    "hilbert_basis_element g": (-1, "g must be non-negative"),
+    "hilbert_decompose": (-1, "g must be non-negative"),
+    "sym_euler k": (-1, "k must be non-negative"),
+    "NodalCurve g": (-1, "g must be non-negative"),
+    "NodalCurve r": (-1, "r must be non-negative"),
+    "SingularityGerm delta": (-1, "delta must be non-negative"),
+    "node_germ": (-1, "order must be non-negative"),
+    "smooth_germ": (-1, "order must be non-negative"),
+    "nonsingular_contribution g": (-1, "g must be non-negative"),
+    "stratify_pairs_series g": (-1, "g must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_RANGE)
+def test_counts_below_range_are_input_errors(name):
+    value, message = BELOW_RANGE[name]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        WINDOW_CALLS[name](value)
+
+
+# Past sys.maxsize no list can hold the window: every count, and every
+# window end, raises PreconditionError before it loops or allocates.
+PAST_MAXSIZE = [*BELOW_RANGE, "pairs_basis_element order", "hilbert_basis_element order",
+                "bps_recompose", "nonsingular_contribution order", "nodal_pairs_series",
+                "stratify_pairs_series order"]
+
+
+@pytest.mark.parametrize("name", PAST_MAXSIZE)
+def test_windows_past_maxsize_are_precondition_errors(name):
+    with pytest.raises(PreconditionError, match="is past sys.maxsize"):
+        WINDOW_CALLS[name](sys.maxsize + 1)
 
 
 class TestKynSeries:
