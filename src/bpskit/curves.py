@@ -14,7 +14,7 @@ from math import comb
 
 from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual, pairs_basis_element
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _pack, _Record, _unpack,
+from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _Record, _times_binom,
                      q_negate)
 
 
@@ -198,45 +198,13 @@ def q_series_decompose(germ: SingularityGerm) -> list[int]:
     return n
 
 
-def _times_one_plus_q_pow(a: list, e: int, n: int) -> list:
-    """The first n coefficients of a (1+q)^e, for any integer e.
-
-    Kronecker substitution (Harvey, arXiv:0712.4046): q -> 2^b maps
-    Z[q]/(q^n) to Z/2^(bn) as a ring map, so the product is the packed a
-    times (1 + 2^b)^e modulo 2^(bn), which exists for e < 0 too since
-    1 + 2^b is odd.  Slot width: every output coefficient obeys
-
-        |[q^j] a (1+q)^e| <= max|a| sum_(k<n) |C(e, k)| <= max|a| 2^t,
-
-    the sum being at most 2^e and (e+1)^(n-1) (C(e, k) <= C(n-1, k) e^k) for
-    e >= 0 and C(n-1-e, n-1) < 2^(n-1-e) for e < 0.  b is t plus the bit
-    length of max|a| plus one sign bit, rounded up to whole bytes, the
-    layout of series._pack and _unpack.
-    """
-    if n <= 0:
-        return []
-    a = a[:n] + [0] * (n - len(a))
-    t = min(e, (n - 1) * (e + 1).bit_length()) if e >= 0 else n - 1 - e
-    nbytes = (max(map(abs, a)).bit_length() + t + 8) // 8
-    b = 8 * nbytes
-    if e >= 0:
-        x = pow(1 + (1 << b), e, 1 << (b * n))
-    else:
-        # pow(1 + 2**b, e, 2**(b*n)) would invert and then reduce by a
-        # full-size division per step; the binomial row is O(n)
-        row = [0] * n
-        _add_binom_row(row, 0, 1, e, 1)
-        x = _pack(row, nbytes)
-    return _unpack(_pack(a, nbytes) * x, n, nbytes, True)[0]
-
-
 def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
                           order: int) -> PairsSeries:
     """Pairs series of a genus-g curve whose only singularity is the germ,
     with smooth locus of Euler characteristic e_smooth.
 
     The series is (signed punctual series) * q^(1-g) * (1+q)^(-e_smooth),
-    one packed product.  The germ's mu must be milnor_from_geometry(g,
+    one series._times_binom.  The germ's mu must be milnor_from_geometry(g,
     e_smooth) = (2 - 2g) - e_smooth.
     """
     g = _as_int(g, "g", 0)
@@ -254,7 +222,7 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
             f"q^{order + g - 1}; window stops at q^{signed.order}"
         )
     # the signed series is dense from its constant term 1
-    out = _times_one_plus_q_pow(signed.coeff_list(), -e_smooth, width)
+    out = _times_binom((signed.coeff_list() + [0] * width)[:width], -e_smooth, 1)
     return PairsSeries(TruncSeries._raw(1 - g, out, order), g)
 
 

@@ -165,20 +165,51 @@ def _add_binom_row(acc: list, i: int, coef: int, p: int, s: int) -> None:
         acc[i + k] += b
 
 
+_PACKED_FROM = 16  # from this |p| on _times_binom packs: past the p > 0 break-even
+
+
 def _times_binom(a: list, p: int, s: int) -> list:
-    """a (1 + s x)^p truncated to len(a), consuming a: p passes of
-    a_k + s a_(k-1), or -p running sums, the odd slots flipped before and
-    after for s = +1 ((1 + x)^-1 is (1 - x)^-1 with x -> -x)."""
-    for _ in range(p):
-        a[1:] = map(add if s > 0 else sub, a[1:], a)
-    if p < 0 and s > 0:
-        a[1::2] = map(neg, a[1::2])
-    for _ in range(-p):
-        a = accumulate(a)
-    a = list(a)
-    if p < 0 and s > 0:
-        a[1::2] = map(neg, a[1::2])
-    return a
+    """a (1 + s x)^p truncated to len(a), consuming a, for any integer p and
+    s = +1 or -1.  Below |p| = _PACKED_FROM: p passes of a_k + s a_(k-1),
+    or -p running sums, the odd slots flipped before and after for s = +1
+    ((1 + x)^-1 is (1 - x)^-1 with x -> -x).  From there on, one Kronecker
+    product (Harvey, arXiv:0712.4046): x -> 2^b maps Z[x]/(x^n) to Z/2^(bn)
+    as a ring map, so the product is the packed a times (1 + s 2^b)^p: the
+    power itself for 0 < p < n, else the packed row C(p, k) s^k, k < n
+    (pow(1 + s 2^b, p, 2^(bn)) would divide at full size per step).  Slot
+    width: every output coefficient obeys
+
+        |[x^j] a (1 + s x)^p| <= max|a| sum_(k<n) |C(p, k)| <= max|a| 2^t,
+
+    the sum being at most 2^p and (p+1)^(n-1) (C(p, k) <= C(n-1, k) p^k) for
+    p > 0, and C(n-1-p, n-1), below 2^(n-1-p) and (n-p)^(n-1), for p < 0.
+    b is t plus the bit length of max|a| plus one sign bit, rounded up to
+    whole bytes, the layout of _pack and _unpack.
+    """
+    if -_PACKED_FROM < p < _PACKED_FROM:
+        for _ in range(p):
+            a[1:] = map(add if s > 0 else sub, a[1:], a)
+        if p < 0 and s > 0:
+            a[1::2] = map(neg, a[1::2])
+        for _ in range(-p):
+            a = accumulate(a)
+        a = list(a)
+        if p < 0 and s > 0:
+            a[1::2] = map(neg, a[1::2])
+        return a
+    n = len(a)
+    if not n:
+        return a
+    t = (min(p, (n - 1) * (p + 1).bit_length()) if p > 0
+         else min(n - 1 - p, (n - 1) * (n - p).bit_length()))
+    nbytes = (max(map(abs, a)).bit_length() + t + 8) // 8
+    if 0 < p < n:
+        x = (1 + s * (1 << 8 * nbytes)) ** p
+    else:
+        row = [0] * n
+        _add_binom_row(row, 0, 1, p, s)
+        x = _pack(row, nbytes)
+    return _unpack(_pack(a, nbytes) * x, n, nbytes, True)[0]
 
 
 # Kronecker substitution (Harvey, arXiv:0712.4046) holds a list of n

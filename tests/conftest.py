@@ -1,5 +1,7 @@
 """Shared oracles and strategies for the test suite."""
 
+from itertools import product
+
 import hypothesis.strategies as st
 from bpskit import (
     GgtcReport,
@@ -154,11 +156,32 @@ def nodal_pairs_series_by_subset(curve: NodalCurve, order: int) -> PairsSeries:
     return PairsSeries(TruncSeries(lo, acc, order), g)
 
 
-def binom_pow_product(a: list, e: int, n: int) -> list:
-    """The first n coefficients of a (1+q)^e as the schoolbook product
-    `shifted * binom_pow(e, "plus", ...)` that the packed product replaced."""
+def binom_pow_product(a: list, e: int, n: int, s: int = 1) -> list:
+    """The first n coefficients of a (1 + s q)^e as the schoolbook product
+    `shifted * binom_pow(e, "plus" or "minus", ...)`."""
     if n <= 0:
         return []
     shifted = TruncSeries(0, (list(a) + [0] * n)[:n], n - 1)
-    out = shifted * binom_pow(e, "plus", n - 1)
+    out = shifted * binom_pow(e, "plus" if s > 0 else "minus", n - 1)
     return [out.coeff(j) for j in range(n)]
+
+
+def semimodule_counts(p: int, q: int, order: int) -> list[int]:
+    """Euler characteristics of the punctual Hilbert schemes of y^p = x^q
+    (coprime p, q) through length `order`, by counting their torus-fixed
+    points: the monomial ideals of C[[t^p, t^q]], i.e. the subsets D of
+    the semigroup G = <p, q> with D + G inside D, by colength #(G - D).
+
+    D is fixed by its least element s_r in each residue class r mod p, as
+    D + p lies in D.  The least element of G in the class of b q is b q
+    (0 <= b < p), so s_r = b q + p k_b with k_b >= 0 and colength sum k_b.
+    D + q lies in D exactly when s_((r+q) mod p) <= s_r + q for every r.
+    """
+    counts = [0] * (order + 1)
+    for ks in product(range(order + 1), repeat=p):
+        if sum(ks) > order:
+            continue
+        start = {b * q % p: b * q + p * k for b, k in enumerate(ks)}
+        if all(start[(r + q) % p] <= start[r] + q for r in start):
+            counts[sum(ks)] += 1
+    return counts

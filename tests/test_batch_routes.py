@@ -1,5 +1,5 @@
 """The closed-form N of validate_ggtc, the genus strata of
-nodal_pairs_series, the packed (1+q)^E product of stratify_pairs_series
+nodal_pairs_series, the (1 + s q)^p multiply of series._times_binom
 and the basis sum and peel on the symmetric half P(u), each checked
 against the route it replaced (kept in conftest.py) and pinned by the
 digest of a fixed sweep."""
@@ -28,7 +28,7 @@ from bpskit import (
     validate_ggtc,
 )
 from bpskit.bps import _basis_peel, _basis_sum
-from bpskit.curves import _times_one_plus_q_pow
+from bpskit.series import _times_binom
 
 from conftest import (
     basis_peel_by_rows,
@@ -182,9 +182,11 @@ def test_nodal_pairs_series_matches_the_subset_loop(case):
 
 @st.composite
 def packed_cases(draw):
-    """(a, e, n): windows of 0 to 400, coefficients up to about 10^300,
-    and all-zero or one-term inputs; a may be shorter or longer than n."""
-    e, n = draw(st.integers(-40, 200)), draw(st.integers(0, 400))
+    """(a, p, s, n): p on both sides of the passes/packed cutover and of
+    n, windows of 0 to 400, coefficients up to about 10^300, and all-zero
+    or one-term inputs; a may be shorter or longer than n."""
+    p = draw(st.integers(-40, 40) | st.integers(-40, 200))
+    s, n = draw(st.sampled_from((1, -1))), draw(st.integers(0, 400))
     rnd = draw(st.randoms(use_true_random=False))
     bound = 10 ** draw(st.integers(0, 300))
     a = [0] * draw(st.integers(0, n + 3))
@@ -193,20 +195,25 @@ def packed_cases(draw):
         a = [rnd.randint(-bound, bound) for _ in a]
     elif shape == "one-term" and a:
         a[rnd.randrange(len(a))] = rnd.choice((1, -1)) * rnd.randint(1, bound)
-    return a, e, n
+    return a, p, s, n
 
 
 @given(packed_cases())
 @settings(max_examples=60, deadline=None)
-@example(([], 5, 0))
-@example(([0] * 7, -3, 7))
-@example(([1], -40, 400))
-@example(([-(10 ** 300)] * 400, 200, 400))
-@example(([10 ** 300] * 400, -40, 400))
-@example(([-(10 ** 300)] * 9, 30000, 9))
+@example(([], 5, 1, 0))
+@example(([0] * 7, -3, 1, 7))
+@example(([1], -40, 1, 400))
+@example(([-(10 ** 300)] * 400, 200, 1, 400))
+@example(([10 ** 300] * 400, -40, 1, 400))
+@example(([-(10 ** 300)] * 9, 30000, 1, 9))
+@example(([1, -1, 2, -3, 4, -5, 6, -7, 8], -2 * 10 ** 5, 1, 9))
+@example(([3, -1, 4, 1, -5, 9, -2], 10 ** 30, -1, 7))
+@example(([2, 7, -1, 8, -2, 8], -(10 ** 30), 1, 6))
+@example(([5, -3], -(10 ** 30), -1, 12))
+@example(([7, -7] * 15, 25, -1, 30))
 def test_packed_product_matches_the_schoolbook_product(case):
-    a, e, n = case
-    assert _times_one_plus_q_pow(a, e, n) == binom_pow_product(a, e, n)
+    a, p, s, n = case
+    assert _times_binom((a + [0] * n)[:n], p, s) == binom_pow_product(a, p, n, s)
 
 
 def test_stratify_multiplies_the_signed_punctual_series():

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import hypothesis.strategies as st
@@ -145,6 +146,22 @@ class TestCurveVerbs:
                        "--order", "6")
         assert obj["g"] == 1
         assert obj["series"]["coeffs"][:3] == ["1", "-1", "2"]
+
+    def test_qseries_on_a_large_negative_mu(self, capsys, monkeypatch):
+        # 2 delta + mu = -199998 once nested as many running sums and crashed
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**NODE_GERM, "mu": -200000})))
+        code, out, err = cli(capsys, "curve", "qseries")
+        assert (code, out) == (1, "")
+        assert err == ("error: residual coefficient 19999900000 at q^2 is not generated by "
+                       "the delta = 1 punctual basis\n")
+
+    def test_stratify_on_a_large_euler_characteristic(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**NODE_GERM, "mu": -2000000})))
+        t0 = time.perf_counter()
+        obj = cli_json(capsys, "curve", "stratify", "--g", "1", "--euler0", "2000000",
+                       "--order", "6")
+        assert time.perf_counter() - t0 < 1.0
+        assert obj["series"]["coeffs"][:3] == ["1", "-2000001", "2000003000002"]
 
     def test_stratify_milnor_mismatch(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(NODE_GERM)))

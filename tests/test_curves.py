@@ -1,11 +1,15 @@
 """Local contributions: nonsingular curves, nodal curves (two independent
 routes), singularity germs and stratified series."""
 
+import time
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bpskit import (
+    BpskitError,
     BpsVector,
     InputError,
     InsufficientWindow,
@@ -29,6 +33,8 @@ from bpskit import (
     subsets_of_nodes,
     sym_euler,
 )
+
+from conftest import basis_peel_by_rows, semimodule_counts
 
 
 @st.composite
@@ -234,11 +240,14 @@ class TestStratify:
             stratify_pairs_series(node_germ(8), e_smooth, -1, order)
 
     def test_large_euler_characteristic(self):
-        # (1+q)^100000 on a few slots: the slot width follows the window,
+        # (1+q)^(-e_smooth) on a few slots: the slot width follows the window,
         # not the exponent
-        germ = SingularityGerm(1, 10 ** 5, node_germ(8).q_euler)
-        got = stratify_pairs_series(germ, -10 ** 5, 1, 8).series
-        assert got == q_negate(germ.q_euler) * binom_pow(10 ** 5, "plus", 8)
+        for e_smooth, order in ((-10 ** 5, 8), (2 * 10 ** 6, 6), (-(10 ** 30), 6)):
+            germ = SingularityGerm(1, milnor_from_geometry(1, e_smooth), node_germ(8).q_euler)
+            t0 = time.perf_counter()
+            got = stratify_pairs_series(germ, e_smooth, 1, order).series
+            assert time.perf_counter() - t0 < 1.0
+            assert got == q_negate(germ.q_euler) * binom_pow(-e_smooth, "plus", order)
 
     def test_punctual_window_guard(self):
         # pairs window to q^5 at genus 1 needs the punctual series through q^5
@@ -251,3 +260,80 @@ class TestStratify:
         Z1 = nodal_pairs_series(c, 7)
         Z2 = stratify_pairs_series(node_germ(9), 0, 1, 7)
         assert Z1.series == Z2.series
+
+
+class TestLargeMu:
+    """mu and e_smooth are unbounded input: the multiply by (1+q)^(2 delta + mu)
+    or (1+q)^(-e_smooth) must not cost one pass per unit of the exponent."""
+
+    def test_negative_mu_peel_names_the_residual(self):
+        # one nested running sum per unit of |2 delta + mu| overflowed the C stack
+        germ = SingularityGerm(1, -200000, node_germ(8).q_euler)
+        assert basis_peel_by_rows(q_negate(germ.q_euler), 1, 1, 1, 199998)[1] == (
+            2, 19999900000)
+        with pytest.raises(NotBpsForm, match=r"^residual coefficient 19999900000 at q\^2 ") as exc:
+            q_series_decompose(germ)
+        assert exc.value.exponent == 2
+
+    def test_large_mu_peel_is_fast(self):
+        germ = SingularityGerm(1, 10 ** 6, node_germ(8).q_euler)
+        t0 = time.perf_counter()
+        with pytest.raises(NotBpsForm):
+            q_series_decompose(germ)
+        assert time.perf_counter() - t0 < 0.3
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_mu_and_e_smooth_give_a_result_or_a_bpskit_error(self, data):
+        big = st.integers(-(10 ** 30), 10 ** 30) | st.integers(-40, 40)
+        d, order, g = (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 12)),
+                       data.draw(st.integers(0, 3)))
+        mu, e_smooth = data.draw(big), data.draw(big)
+        if data.draw(st.booleans()):
+            e_smooth = 2 - 2 * g - mu  # past the Milnor check
+        tail = data.draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order))
+        germ = SingularityGerm(d, mu, TruncSeries(0, [1] + tail, order))
+        for call in (lambda: q_series_decompose(germ),
+                     lambda: stratify_pairs_series(germ, e_smooth, g, order - g)):
+            t0 = time.perf_counter()
+            try:
+                call()
+            except BpskitError:
+                pass
+            assert time.perf_counter() - t0 < 1.0
+
+
+class TestSemigroupGerms:
+    """The unibranch germs y^p = x^q, with punctual Euler characteristics
+    from conftest.semimodule_counts, delta = (p-1)(q-1)/2 and mu = 1 - 2 delta."""
+
+    DECOMPOSITIONS = {(2, 3): [-2, 1], (2, 5): [3, -4, 1], (2, 7): [-4, 10, -6, 1],
+                      (3, 4): [-5, 10, -6, 1], (3, 5): [7, -21, 21, -8, 1],
+                      (4, 5): [14, -70, 133, -121, 55, -12, 1]}
+
+    @staticmethod
+    def germ(p, q, order):
+        d = (p - 1) * (q - 1) // 2
+        return SingularityGerm(d, 1 - 2 * d, TruncSeries(0, semimodule_counts(p, q, order), order))
+
+    def test_punctual_euler_characteristics(self):
+        assert semimodule_counts(2, 3, 8) == [1, 1, 2, 2, 2, 2, 2, 2, 2]
+        assert semimodule_counts(3, 4, 7) == [1, 1, 2, 3, 4, 4, 5, 5]
+
+    @pytest.mark.parametrize("pq", sorted(DECOMPOSITIONS))
+    def test_decomposition(self, pq):
+        n = q_series_decompose(self.germ(*pq, 12))
+        assert n == self.DECOMPOSITIONS[pq]
+        p, q = pq
+        assert n[-1] == 1 and abs(n[0]) * (p + q) == comb(p + q, p)
+
+    @pytest.mark.parametrize("pq", sorted(DECOMPOSITIONS))
+    def test_bps_support_lies_between_the_genus_bounds(self, pq):
+        # g = delta + 12 multiplies by (1+q)^23, past the passes/packed cutover
+        n0 = self.DECOMPOSITIONS[pq][0]
+        d = len(self.DECOMPOSITIONS[pq]) - 1
+        germ = self.germ(*pq, d + 13)
+        for g in (d, d + 1, d + 3, d + 12):
+            n = bps_decompose(stratify_pairs_series(germ, 1 - 2 * (g - d), g, 1)).n
+            assert [h for h, v in enumerate(n) if v] == list(range(g - d, g + 1))
+            assert n[g - d] == n0
