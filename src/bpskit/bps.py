@@ -36,8 +36,8 @@ from itertools import accumulate
 from operator import neg, sub
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _json_ints, _Record,
-                     _times_binom)
+from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _json_int, _json_ints,
+                     _Record, _times_binom)
 
 
 class BpsVector(_Record):
@@ -140,8 +140,9 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
 def _reject_residual(first, basis: str) -> None:
     """Raise NotBpsForm at the residual's lowest term, if the peel left one."""
     if first:
-        raise NotBpsForm(f"residual coefficient {first[1]} at q^{first[0]} is not generated "
-                         f"by the {basis} basis", exponent=first[0])
+        e, c = first
+        raise NotBpsForm(f"residual coefficient {_int_str(c)} at q^{e} is not generated by the "
+                         f"{basis} basis", exponent=e, coefficient=c)
 
 
 def _reach_base(order: int, g: int) -> int:

@@ -8,8 +8,8 @@ written (a closed pipe, a missing directory), reported in one line.
 
 All JSON output has the bytes of json.dumps(obj, sort_keys=True,
 indent=2), for integers of any size, so identical inputs give
-byte-identical bytes.  The two large K3 records write those bytes
-themselves; everything else goes through one streaming writer.
+byte-identical bytes.  The two large K3 records stream those bytes row
+by row; every other document is small and is written in one piece.
 
 The command line is `bpskit GROUP VERB --flag value ...`, read from the
 table _VERBS by the rules argparse would apply to it: `--flag=value` too,
@@ -110,12 +110,7 @@ def _json_text(obj, pad: str) -> str:
         if not obj:
             return "{}"
         inner = pad + "  "
-        body = []
-        for k in sorted(obj):
-            v = obj[k]
-            tv = type(v)  # str and int values inline: most rows hold only those
-            body.append(_esc(k) + ": " + (_esc(v) if tv is str else _int_str(v) if tv is int
-                                          else _json_text(v, inner)))
+        body = [_esc(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(body) + pad + "}"
     if t is list:
         if not obj:
@@ -129,31 +124,11 @@ def _json_text(obj, pad: str) -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _write_json(obj, f, pad: str = "\n", depth: int = 2):
-    """Write the bytes of json.dump(obj, f, sort_keys=True, indent=2).
-
-    The top `depth` container levels go out one element at a time, so the
-    whole document is never held as one string; below them, and for a
-    list of str at any depth, a value is built as one string.
-    """
-    t = type(obj)
-    if not (depth and obj and (t is dict or t is list and {*map(type, obj)} != {str})):
-        f.write(_json_text(obj, pad))
-        return
-    inner = pad + "  "
-    sep = ("{" if t is dict else "[") + inner
-    for k in sorted(obj) if t is dict else range(len(obj)):
-        f.write(sep + _esc(k) + ": " if t is dict else sep)
-        _write_json(obj[k], f, inner, depth - 1)
-        sep = "," + inner
-    f.write(pad + ("}" if t is dict else "]"))
-
-
 def _emit_json(obj, out: str):
     """Write obj, a dict or a record with its own write_json, and a newline."""
     with _Out(out) as f:
         if type(obj) is dict:
-            _write_json(obj, f)
+            f.write(_json_text(obj, "\n"))
         else:
             obj.write_json(f)
         f.write("\n")

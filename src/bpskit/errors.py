@@ -49,9 +49,10 @@ class AsymmetricInput(PreconditionError):
 class NotBpsForm(ValidationError):
     """The series is not an integer combination of the BPS basis elements."""
 
-    def __init__(self, message, exponent=None):
+    def __init__(self, message, exponent=None, coefficient=None):
         super().__init__(message)
         self.exponent = exponent
+        self.coefficient = coefficient
 
 
 class NotKkvForm(ValidationError):

@@ -84,7 +84,8 @@ def _int_str(x: int) -> str:
 
 
 def _int_strs(xs) -> list:
-    """[str(x) for x in xs], for ints of any size."""
+    """[str(x) for x in xs], for ints of any size; xs is a sequence, walked
+    twice when it holds a number past the digit cap."""
     try:
         return list(map(str, xs))
     except ValueError:
@@ -466,11 +467,8 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
     def to_json(self) -> dict:
-        items = self.items()
-        try:
-            return {"terms": {str(e): str(c) for e, c in items}}
-        except ValueError:  # a number past the int <-> str digit cap
-            return {"terms": {_int_str(e): _int_str(c) for e, c in items}}
+        es = sorted(self._terms)
+        return {"terms": dict(zip(_int_strs(es), _int_strs([self._terms[e] for e in es])))}
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPoly":
@@ -825,10 +823,6 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
         if c not in (1, -1):
             raise InputError("factor coefficient must be +1 or -1")
     amax = max((abs(a) for a, _e, _c in factors3), default=0)
-    if amax == 0 and all(c == 1 for _a, _e, c in factors3):
-        acc = eta_power(sum(e for _a, e, _c in factors3), order_q).coeff_list()
-        return BiSeries(LaurentPoly({0: v}) for v in acc)
-
     width = _as_int(2 * amax * order_q + 1, "z-window length", 0)
     center = amax * order_q
     rows = [[0] * width for _ in range(order_q + 1)]

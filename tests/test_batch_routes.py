@@ -256,7 +256,8 @@ def _decompose_by_rows(Z, top, c, s, m, basis):
     n, first = basis_peel_by_rows(Z, top, c, s, m)
     if first:
         raise NotBpsForm(f"residual coefficient {first[1]} at q^{first[0]} is not "
-                         f"generated by the {basis} basis", exponent=first[0])
+                         f"generated by the {basis} basis", exponent=first[0],
+                         coefficient=first[1])
     return BpsVector(top, tuple(n))
 
 
@@ -282,7 +283,8 @@ def test_basis_sum_and_peel_match_the_rows(case):
         try:
             decompose(Z, top)
         except NotBpsForm as got:
-            assert (str(got), got.exponent) == (str(exc), exc.exponent)
+            assert ((str(got), got.exponent, got.coefficient)
+                    == (str(exc), exc.exponent, exc.coefficient))
         else:
             raise AssertionError(f"expected NotBpsForm: {exc}")
     else:

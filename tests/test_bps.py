@@ -102,7 +102,16 @@ class TestDecompose:
         Z = PairsSeries(TruncSeries.from_terms({0: 1, 1: 1}, order=5), 1)
         with pytest.raises(NotBpsForm) as exc:
             bps_decompose(Z)
-        assert exc.value.exponent == 2
+        assert (exc.value.exponent, exc.value.coefficient) == (2, 2)
+
+    def test_residual_past_the_digit_cap_is_not_bps_form(self):
+        # the message writes the residual whatever its size, so the error
+        # stays NotBpsForm, not the ValueError of str() past the cap
+        big = 10 ** 5000
+        with pytest.raises(NotBpsForm) as exc:
+            bps_decompose(PairsSeries(TruncSeries(0, [1, 1, big, 0, 0], 4), 1))
+        assert (exc.value.exponent, exc.value.coefficient) == (2, big + 2)
+        assert str(exc.value).startswith("residual coefficient 1" + "0" * 4000)
 
     def test_window_must_reach_q1(self):
         Z = PairsSeries(TruncSeries.from_terms({0: -1}, order=0), 1)
@@ -206,7 +215,7 @@ class TestHilbert:
         H = TruncSeries.from_terms({0: 1, 3: 5}, order=4)
         with pytest.raises(NotBpsForm) as exc:
             hilbert_decompose(H, 1)
-        assert exc.value.exponent == 3
+        assert (exc.value.exponent, exc.value.coefficient) == (3, 5)
 
     def test_window_needs_g_plus_one_steps(self):
         with pytest.raises(InsufficientWindow):

@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from bpskit import InputError, __version__, eta_power
+from bpskit import BpsVector, InputError, __version__, bps_recompose, eta_power
 from bpskit import cli as cli_module
 from bpskit.cli import build_parser, run
 
@@ -324,6 +324,59 @@ class TestDeterminism:
     def test_output_is_canonical_json(self, capsys):
         _, out, _ = cli(capsys, "k3", "ky", "--hmax", "2", "--yorder", "5")
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def _assert_canonical(out):
+    """out is json.dumps(sort_keys=True, indent=2) of itself, read with the
+    int <-> str digit cap lifted."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+PAIRS_G2 = bps_recompose(BpsVector(2, (3, -1, 4)), 9).to_json()
+NOT_BPS = series_json(0, [1, 1, 0, 0, 0])
+# every verb that writes a dict, passing and failing: (exit code, argv, stdin)
+DICT_VERBS = [
+    (0, ("bps", "recompose", "--g", "2", "--n", "3,-1,4", "--order", "9"), None),
+    (0, ("bps", "decompose"), PAIRS_G2),
+    (0, ("bps", "validate"), PAIRS_G2),
+    (1, ("bps", "validate"), NOT_BPS),
+    (0, ("hilb", "decompose", "--g", "1"), series_json(0, [1, 1, 2, 3, 4, 5])),
+    (0, ("curve", "nonsingular", "--g", "2", "--chi", "5", "--order", "6"), None),
+    (0, ("curve", "nodal"), ELLIPTIC_NODAL),
+    (0, ("curve", "nodal", "--order", "5"), ELLIPTIC_NODAL),
+    (0, ("curve", "qseries"), NODE_GERM),
+    (0, ("curve", "stratify", "--g", "1", "--euler0", "0", "--order", "6"), NODE_GERM),
+    (0, ("k3", "yz", "--hmax", "12"), None),
+    (0, ("k3", "signed-check", "--hmax", "3", "--yorder", "8"), None),
+    (0, ("series", "eta", "--order", "40", "--exponent", "-24", "--format", "json"), None),
+]
+
+
+@pytest.mark.parametrize("want, argv, doc", DICT_VERBS,
+                         ids=[" ".join(argv) + f" -> {want}" for want, argv, _doc in DICT_VERBS])
+def test_dict_documents_are_canonical_bytes(capsys, monkeypatch, want, argv, doc):
+    if doc is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = cli(capsys, *argv)
+    assert code == want, err
+    _assert_canonical(out)
+
+
+def test_dict_documents_past_the_digit_cap_are_canonical_bytes(capsys, tmp_path):
+    big = "-" + "7" * 4400
+    pairs = tmp_path / "pairs.json"
+    code, _, err = cli(capsys, "bps", "recompose", "--g", "1", f"--n={big},2", "--out", str(pairs))
+    assert code == 0, err
+    _assert_canonical(pairs.read_text())
+    code, out, err = cli(capsys, "bps", "decompose", "--in", str(pairs))
+    assert code == 0, err
+    _assert_canonical(out)  # JSON numbers past the cap
+    assert out.startswith('{\n  "g": 1,\n  "n": [\n    ' + big + ",\n    2\n  ]")
 
 
 # Out-of-range arguments that the engines reject with InputError; run()

@@ -1,6 +1,6 @@
 """The CLI's JSON writers: the bytes of json.dump(sort_keys=True, indent=2),
-for integers of any size, from the streaming writer and from the records
-that write themselves."""
+for integers of any size, from the one-piece writer of every dict document
+and from the two K3 records that stream themselves row by row."""
 
 import io
 import json
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bpskit import K3PairsSeries, KkvTable, LaurentPoly, ky_series
-from bpskit.cli import _write_json
+from bpskit.cli import _json_text
 from bpskit.k3 import _kkv_table
 from bpskit.series import _big_str
 
@@ -28,9 +28,7 @@ trees = st.recursive(
 
 
 def _written(obj) -> str:
-    f = io.StringIO()
-    _write_json(obj, f)
-    return f.getvalue()
+    return _json_text(obj, "\n")
 
 
 @given(trees)
@@ -142,11 +140,8 @@ def test_kkv_table_written_in_chunks():
 def test_records_write_numbers_past_the_digit_cap():
     big = -(10 ** 4400 + 7)
     t = KkvTable(1, {(0, 0): 1, (0, 1): big, (1, 1): -2})
-    f = io.StringIO()
-    _write_json(t.to_json(), f)
-    assert _self_written(t) == f.getvalue()
-    assert _big_str(big) in f.getvalue()
+    text = _written(t.to_json())
+    assert _self_written(t) == text
+    assert _big_str(big) in text
     r = K3PairsSeries((LaurentPoly({1: 1, 2: big}), LaurentPoly({0: 2, -1: big})), 2)
-    f = io.StringIO()
-    _write_json(r.to_json(), f)
-    assert _self_written(r) == f.getvalue()
+    assert _self_written(r) == _written(r.to_json())

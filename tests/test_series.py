@@ -325,7 +325,7 @@ class TestProducts:
         assert row == factorwise_product(1, order)
 
     def test_minus_sign_factor_matches_factorwise_series_mul(self):
-        # (1 + q^n)^-2 leaves the eta_power path for the general product loop
+        # (1 + q^n)^-2: a c = -1 factor through the same product loop as c = +1
         order = 10
         B = _expand_product([(0, -2, -1)], order)
         row = [B.coeff(h).coeff(0) for h in range(order + 1)]
