@@ -155,6 +155,18 @@ def _load_pairs(args) -> PairsSeries:
     return PairsSeries(series, g)
 
 
+def _order(args) -> int:
+    """--order, or a window to q^(g+15) when it is not given."""
+    return args.order if args.order is not None else args.g + 15
+
+
+def _emit_series(series: TruncSeries, args, head):
+    if args.format == "csv":
+        _series_csv(series, args.out, head)
+    else:
+        _emit_json(series.to_json(), args.out)
+
+
 def _cmd_bps_recompose(args):
     """multiplicities to pairs series"""
     try:
@@ -162,46 +174,36 @@ def _cmd_bps_recompose(args):
     except InputError:
         raise InputError(f"--n must be comma-separated integers, got {args.n!r}") from None
     v = BpsVector(args.g, entries)
-    order = args.order if args.order is not None else args.g + 15
-    _emit_json(bps_recompose(v, order).to_json(), args.out)
-    return 0
+    _emit_json(bps_recompose(v, _order(args)).to_json(), args.out)
 
 
 def _cmd_bps_decompose(args):
     """pairs series to multiplicities; exact, rejects non-members"""
     _emit_json(bps_decompose(_load_pairs(args)).to_json(), args.out)
-    return 0
 
 
 def _cmd_bps_validate(args):
     """check the three defining identities, exit 1 on failure"""
     report = validate_ggtc(_load_pairs(args))
     _emit_json(report.to_json(), args.out)
+    for name in ("identity_0", "identity_gg", "identity_g0"):
+        check = getattr(report, name)
+        if not check.passed:
+            print(f"{name} fails first at q^{check.first_fail_exponent}", file=sys.stderr)
     if not report.passed:
-        for name in ("identity_0", "identity_gg", "identity_g0"):
-            check = getattr(report, name)
-            if not check.passed:
-                print(
-                    f"{name} fails first at q^{check.first_fail_exponent}",
-                    file=sys.stderr,
-                )
         return 1
-    return 0
 
 
 def _cmd_hilb_decompose(args):
     """Hilbert-series decomposition over q^(g-r)(1-q)^(2r-2)"""
     series = TruncSeries.from_json(_read_json(args.infile))
     _emit_json(hilbert_decompose(series, args.g).to_json(), args.out)
-    return 0
 
 
 def _cmd_curve_nonsingular(args):
     """top-genus contribution of a nonsingular curve"""
-    order = args.order if args.order is not None else args.g + 15
-    v, pairs = nonsingular_contribution(args.g, args.chi, order)
+    v, pairs = nonsingular_contribution(args.g, args.chi, _order(args))
     _emit_json({"vector": v.to_json(), "series": pairs.series.to_json()}, args.out)
-    return 0
 
 
 def _cmd_curve_nodal(args):
@@ -212,29 +214,24 @@ def _cmd_curve_nodal(args):
     if args.order is not None:
         out["series"] = nodal_pairs_series(curve, args.order).series.to_json()
     _emit_json(out, args.out)
-    return 0
 
 
 def _cmd_curve_qseries(args):
     """germ multiplicities from punctual Euler numbers"""
     germ = SingularityGerm.from_json(_read_json(args.infile))
     _emit_json({"n": q_series_decompose(germ)}, args.out)
-    return 0
 
 
 def _cmd_curve_stratify(args):
     """pairs series of a curve with one singular point"""
     germ = SingularityGerm.from_json(_read_json(args.infile))
-    order = args.order if args.order is not None else args.g + 15
-    pairs = stratify_pairs_series(germ, args.euler0, args.g, order)
+    pairs = stratify_pairs_series(germ, args.euler0, args.g, _order(args))
     _emit_json(pairs.to_json(), args.out)
-    return 0
 
 
 def _cmd_k3_ky(args):
     """pair-count double series rows"""
     _emit_json(ky_series(args.hmax, args.yorder), args.out)
-    return 0
 
 
 def _cmd_k3_kkv(args):
@@ -245,17 +242,11 @@ def _cmd_k3_kkv(args):
             table.write_csv(f)
     else:
         _emit_json(table, args.out)
-    return 0
 
 
 def _cmd_k3_yz(args):
     """rational-curve counts"""
-    series = yau_zaslow(args.hmax)
-    if args.format == "csv":
-        _series_csv(series, args.out, head=("h", "r_0h"))
-    else:
-        _emit_json(series.to_json(), args.out)
-    return 0
+    _emit_series(yau_zaslow(args.hmax), args, head=("h", "r_0h"))
 
 
 def _cmd_k3_signed_check(args):
@@ -266,17 +257,11 @@ def _cmd_k3_signed_check(args):
         h, n = report.first_mismatch
         print(f"signed conversion fails first at y^{n} q^{h}", file=sys.stderr)
         return 1
-    return 0
 
 
 def _cmd_series_eta(args):
     """prod (1 - q^n)^exponent"""
-    series = eta_power(args.exponent, args.order)
-    if args.format == "csv":
-        _series_csv(series, args.out)
-    else:
-        _emit_json(series.to_json(), args.out)
-    return 0
+    _emit_series(eta_power(args.exponent, args.order), args, head=("n", "coeff"))
 
 
 def _integer(text: str) -> int:
@@ -501,12 +486,14 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    """Parse argv and execute; returns the exit code instead of raising."""
+    """Parse argv and execute; returns the exit code instead of raising.
+    A command returns 1 when the mathematics rejects its input and nothing
+    otherwise, which is exit 0; each error class maps to 1, 2, 3, 70 or 74."""
     cap = _get_cap()
     _set_cap(0)  # for the call, so that messages and output print ints of any size
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        return args.fn(args) or 0
     except SystemExit as exc:  # -h, --version or a rejected command line
         return exc.code
     except ValidationError as exc:

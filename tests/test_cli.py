@@ -96,6 +96,15 @@ class TestBpsVerbs:
         assert json.loads(out)["pass"] is False
         assert "identity_g0" in err and "q^2" in err
 
+    def test_validate_fail_lists_every_failed_identity(self, capsys, monkeypatch):
+        payload = json.dumps({"g": 3, "series": series_json(-3, [1, 0, 1, 3, 5, 7, 9, 11])})
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = cli(capsys, "bps", "validate")
+        assert code == 1 and json.loads(out)["pass"] is False
+        assert err == ("identity_0 fails first at q^-3\n"
+                       "identity_gg fails first at q^2\n"
+                       "identity_g0 fails first at q^3\n")
+
     def test_bad_multiplicity_string(self, capsys):
         code, _, err = cli(capsys, "bps", "recompose", "--g", "1", "--n", "1;2")
         assert code == 2 and "comma-separated" in err
@@ -205,6 +214,14 @@ class TestK3Verbs:
     def test_signed_check(self, capsys):
         obj = cli_json(capsys, "k3", "signed-check", "--hmax", "2", "--yorder", "6")
         assert obj["pass"] is True
+
+    def test_signed_check_mismatch_exits_1(self, capsys, monkeypatch):
+        check = cli_module.signed_conversion_check
+        monkeypatch.setattr("bpskit.cli.signed_conversion_check",
+                            lambda h_max, y_order: check(h_max, y_order, tamper=(1, 1, 2)))
+        code, out, err = cli(capsys, "k3", "signed-check", "--hmax", "2", "--yorder", "6")
+        assert code == 1 and json.loads(out)["first_mismatch"] == [1, 1]
+        assert err == "signed conversion fails first at y^1 q^1\n"
 
 
 class TestSeriesVerbs:

@@ -17,10 +17,12 @@ from bpskit import (
     KkvTable,
     LaurentPoly,
     NodalCurve,
+    NotBpsForm,
     PairsSeries,
     PreconditionError,
     SingularityGerm,
     binom_pow,
+    bps_decompose,
     bps_recompose,
     eta_power,
     hilbert_basis_element,
@@ -36,6 +38,7 @@ from bpskit import (
     smooth_germ,
     stratify_pairs_series,
     sym_euler,
+    validate_ggtc,
     yau_zaslow,
 )
 from bpskit import kernels, product_family
@@ -434,6 +437,38 @@ class TestKkvTable:
         buf = io.StringIO()
         kkv_decompose(kkv_product(1)).write_csv(buf)
         assert buf.getvalue() == "g,h,r_gh\n0,0,1\n0,1,24\n1,1,-2\n"
+
+
+class TestKyToKkv:
+    """The paper's K3 theorem: under q = -y each Kawai-Yoshioka row h is a
+    genus-h pairs series whose BPS multiplicities are n_g = -r_(g,h), with
+    n_0 = -[q^h] E^-24 the Yau-Zaslow count."""
+
+    H = 30
+
+    @staticmethod
+    def pairs(row, h, y_order, flip=True):
+        """Row h as a genus-h pairs series in q = -y (q = y without flip)."""
+        span = range(1 - h, y_order + 1)
+        # (-1)^n on y^n, written without ** because (-1) ** n is a float for n < 0
+        coeffs = [-c if flip and n % 2 else c for n, c in zip(span, map(row.coeff, span))]
+        return PairsSeries(TruncSeries(1 - h, coeffs, y_order), h)
+
+    @settings(max_examples=20, deadline=None)
+    @given(y_order=st.integers(1, 60))
+    def test_ky_rows_decompose_to_kkv_counts(self, y_order):
+        table, yz = _kkv_table(self.H), yau_zaslow(self.H)
+        for h, row in enumerate(ky_series(self.H, y_order).rows):
+            Z = self.pairs(row, h, y_order)
+            n = bps_decompose(Z).n
+            assert n == tuple(-table.value(g, h) for g in range(h + 1))
+            assert n[0] == -yz.coeff(h)
+            assert validate_ggtc(Z).passed
+
+    def test_unsigned_row_is_not_bps_form(self):
+        with pytest.raises(NotBpsForm) as exc:
+            bps_decompose(self.pairs(ky_series(0, 5).rows[0], 0, 5, flip=False))
+        assert (exc.value.exponent, exc.value.coefficient) == (2, 4)
 
 
 class TestSignedConversion:
