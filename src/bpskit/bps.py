@@ -141,8 +141,8 @@ def _reject_residual(first, basis: str) -> None:
     """Raise NotBpsForm at the residual's lowest term, if the peel left one."""
     if first:
         e, c = first
-        raise NotBpsForm(f"residual coefficient {_int_str(c)} at q^{e} is not generated by the "
-                         f"{basis} basis", exponent=e, coefficient=c)
+        raise NotBpsForm(f"residual coefficient {_int_str(c)} at q^{_int_str(e)} is not generated "
+                         f"by the {basis} basis", exponent=e, coefficient=c)
 
 
 def _reach_base(order: int, g: int) -> int:

@@ -164,13 +164,7 @@ def _ky_dense(h_max: int, y_order: int, c: int) -> list[list[int]]:
 
 def _ky_rows(h_max: int, y_order: int, c: int) -> tuple[LaurentPoly, ...]:
     """The rows of _ky_dense as Laurent polynomials in y."""
-    out = []
-    for h, dense in enumerate(_ky_dense(h_max, y_order, c)):
-        terms = dict(zip(range(1 - h, y_order + 1), dense))
-        if 0 in dense:
-            terms = {n: v for n, v in terms.items() if v}
-        out.append(LaurentPoly._raw(terms))
-    return tuple(out)
+    return tuple(LaurentPoly._dense(1 - h, row) for h, row in enumerate(_ky_dense(h_max, y_order, c)))
 
 
 class KkvTable(_Record):
@@ -297,8 +291,8 @@ def ky_series(h_max: int, y_order: int) -> K3PairsSeries:
 
 def kkv_product(h_max: int) -> BiSeries:
     """prod_{n>=1} (1-q^n)^-20 (1-z q^n)^-2 (1-z^-1 q^n)^-2 through q^h_max."""
-    return BiSeries(LaurentPoly._raw({j - h: v for j, v in enumerate(row) if v})
-                    for h, row in enumerate(_theta_rows(_as_int(h_max, "h_max", 0))))
+    rows = _theta_rows(_as_int(h_max, "h_max", 0))
+    return BiSeries(LaurentPoly._dense(-h, row) for h, row in enumerate(rows))
 
 
 def kkv_decompose(B: BiSeries) -> KkvTable:

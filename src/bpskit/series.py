@@ -92,6 +92,13 @@ def _int_strs(xs) -> list:
         return [_int_str(x) for x in xs]
 
 
+def _terms_text(items, var: str) -> str:
+    """The (exponent, coefficient) pairs items as the terms c, c*var and
+    c*var^e joined by ' + ', or '0' when there are none."""
+    return " + ".join([_int_str(c) if e == 0 else f"{_int_str(c)}*{var}" if e == 1
+                       else f"{_int_str(c)}*{var}^{_int_str(e)}" for e, c in items]) or "0"
+
+
 def _write_csv(stream, head, rows):
     """Write head and rows (tuples of str, or of ints under the digit cap)
     as comma-separated lines, 4096 rows per write: the bytes of
@@ -324,31 +331,34 @@ class LaurentPoly:
     """Finite-support Laurent polynomial with integer coefficients.
 
     Zero coefficients are never stored, so equality is plain term-map
-    equality.
+    equality.  _raw is the one place that drops them: every constructor
+    and operation hands its term map to _raw.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         data: dict[int, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for e, c in items:
-                c = _as_int(c)
-                if c:
-                    e = _as_int(e, "exponent")
-                    s = data.get(e, 0) + c
-                    if s:
-                        data[e] = s
-                    elif e in data:
-                        del data[e]
-        self._terms = data
+        for e, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+            c = _as_int(c)
+            e = _as_int(e, "exponent")
+            data[e] = data.get(e, 0) + c
+        self._terms = self._raw(data)._terms
 
     @classmethod
     def _raw(cls, data: dict[int, int]) -> "LaurentPoly":
+        """The polynomial of the term map data (int keys and values), taken
+        as is unless it holds a zero coefficient."""
+        if 0 in data.values():
+            data = {e: c for e, c in data.items() if c}
         p = cls.__new__(cls)
         p._terms = data
         return p
+
+    @classmethod
+    def _dense(cls, lo: int, coeffs) -> "LaurentPoly":
+        """The polynomial sum coeffs[i] x^(lo + i)."""
+        return cls._raw(dict(zip(range(lo, lo + len(coeffs)), coeffs)))
 
     def coeff(self, e: int) -> int:
         return self._terms.get(e, 0)
@@ -388,11 +398,7 @@ class LaurentPoly:
             return NotImplemented
         data = dict(self._terms)
         for e, c in other._terms.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            elif e in data:
-                del data[e]
+            data[e] = data.get(e, 0) + c
         return LaurentPoly._raw(data)
 
     def __sub__(self, other):
@@ -409,11 +415,7 @@ class LaurentPoly:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                s = data.get(e, 0) + c1 * c2
-                if s:
-                    data[e] = s
-                elif e in data:
-                    del data[e]
+                data[e] = data.get(e, 0) + c1 * c2
         return LaurentPoly._raw(data)
 
     def __rmul__(self, other):
@@ -434,12 +436,11 @@ class LaurentPoly:
 
     def scale(self, c: int) -> "LaurentPoly":
         c = _as_int(c)
-        if not c:
-            return LaurentPoly()
         return LaurentPoly._raw({e: c * v for e, v in self._terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the k-th power of the variable."""
+        k = _as_int(k, "shift")
         return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
 
     def involution(self) -> "LaurentPoly":
@@ -454,17 +455,7 @@ class LaurentPoly:
         return sum(self._terms.values())
 
     def __repr__(self):
-        if not self._terms:
-            return "LaurentPoly(0)"
-        bits = []
-        for e, c in self.items():
-            if e == 0:
-                bits.append(f"{c}")
-            elif e == 1:
-                bits.append(f"{c}*z")
-            else:
-                bits.append(f"{c}*z^{e}")
-        return "LaurentPoly(" + " + ".join(bits) + ")"
+        return f"LaurentPoly({_terms_text(self.items(), 'z')})"
 
     def to_json(self) -> dict:
         es = sorted(self._terms)
@@ -474,10 +465,7 @@ class LaurentPoly:
     def from_json(cls, obj) -> "LaurentPoly":
         if not isinstance(obj, dict) or "terms" not in obj or not isinstance(obj["terms"], dict):
             raise InputError("Laurent polynomial JSON must be an object with a 'terms' map")
-        data = {}
-        for k, v in obj["terms"].items():
-            data[_json_int(k, "exponent")] = _json_int(v)
-        return cls._raw({e: c for e, c in data.items() if c})
+        return cls._raw({_json_int(k, "exponent"): _json_int(v) for k, v in obj["terms"].items()})
 
 
 class TruncSeries:
@@ -677,18 +665,9 @@ class TruncSeries:
         return TruncSeries._raw(-v, out, order)
 
     def __repr__(self):
-        bits = []
-        for e, c in self.items()[:6]:
-            if e == 0:
-                bits.append(f"{c}")
-            elif e == 1:
-                bits.append(f"{c}*q")
-            else:
-                bits.append(f"{c}*q^{e}")
-        if len(self.items()) > 6:
-            bits.append("...")
-        body = " + ".join(bits) if bits else "0"
-        return f"TruncSeries({body} + O(q^{self._order + 1}))"
+        items = self.items()
+        body = _terms_text(items[:6], "q") + (" + ..." if len(items) > 6 else "")
+        return f"TruncSeries({body} + O(q^{_int_str(self._order + 1)}))"
 
     def to_json(self) -> dict:
         return {
@@ -844,10 +823,7 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
                     half = amax * hsrc
                     kernels.axpy_shift(rows[h], rows[hsrc], a * k, ck,
                                        center - half, center + half)
-    out = []
-    for row in rows:
-        out.append(LaurentPoly._raw({i - center: v for i, v in enumerate(row) if v}))
-    return BiSeries(out)
+    return BiSeries(LaurentPoly._dense(-center, row) for row in rows)
 
 
 def product_family(factors, order_q: int) -> BiSeries:

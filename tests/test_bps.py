@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 from bpskit import (
     BpsVector,
+    InputError,
     InsufficientWindow,
     NotBpsForm,
     PairsSeries,
@@ -43,6 +44,19 @@ class TestBpsVector:
         v = BpsVector(3, (1, -2, 0, 7))
         assert BpsVector.from_json(v.to_json()) == v
         assert v.to_json() == {"g": 3, "n": [1, -2, 0, 7]}
+
+    @pytest.mark.parametrize("doc", [{"n": [1]}, {"g": 0}, [0, [1]]])
+    def test_from_json_names_a_missing_field(self, doc):
+        with pytest.raises(InputError, match="^bad BPS vector JSON: "):
+            BpsVector.from_json(doc)
+
+
+class TestPairsSeries:
+    @pytest.mark.parametrize("doc", [{"series": {"min_exp": 0, "order": 0, "coeffs": [1]}},
+                                     {"g": 1}, [1]])
+    def test_from_json_names_a_missing_field(self, doc):
+        with pytest.raises(InputError, match="^bad pairs-series JSON: "):
+            PairsSeries.from_json(doc)
 
 
 class TestBasisElements:
@@ -112,6 +126,14 @@ class TestDecompose:
             bps_decompose(PairsSeries(TruncSeries(0, [1, 1, big, 0, 0], 4), 1))
         assert (exc.value.exponent, exc.value.coefficient) == (2, big + 2)
         assert str(exc.value).startswith("residual coefficient 1" + "0" * 4000)
+        # and its exponent likewise, for the pairs and the Hilbert basis
+        far = 10 ** 4400
+        for call in (lambda: bps_decompose(PairsSeries(TruncSeries(far, [1]), 2)),
+                     lambda: hilbert_decompose(TruncSeries(far, [1] + [0] * 5, far + 5), 1)):
+            with pytest.raises(NotBpsForm) as exc:
+                call()
+            assert (exc.value.exponent, exc.value.coefficient) == (far, 1)
+            assert f"at q^1{'0' * 4400} is not generated" in str(exc.value)
 
     def test_window_must_reach_q1(self):
         Z = PairsSeries(TruncSeries.from_terms({0: -1}, order=0), 1)

@@ -81,6 +81,11 @@ class TestBpsVerbs:
         code, _, err = cli(capsys, "bps", "decompose")
         assert code == 1 and "residual" in err
 
+    def test_decompose_pairs_document_without_genus(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"series": series_json(0, [1, 2])})))
+        code, out, err = cli(capsys, "bps", "decompose")
+        assert (code, out, err) == (2, "", "error: bad pairs-series JSON: 'g'\n")
+
     def test_validate_pass(self, capsys, tmp_path):
         f1 = tmp_path / "pairs.json"
         cli(capsys, "bps", "recompose", "--g", "1", "--n", "1,-1", "--out", str(f1))

@@ -104,6 +104,8 @@ WINDOW_CALLS = {
     "TruncSeries.truncate": lambda x: TruncSeries(0, [1, 2, 3]).truncate(x),
     "TruncSeries.shift": lambda x: TruncSeries(0, [1, 2, 3]).shift(x),
     "LaurentPoly.__pow__": lambda x: LaurentPoly({1: 1, 2: 1}) ** x,
+    "LaurentPoly.shift": lambda x: LaurentPoly({1: 1}).shift(x),
+    "LaurentPoly exponent": lambda x: LaurentPoly({x: 0}),
     "BpsVector g": lambda x: BpsVector(x, (1, 2)),
     "PairsSeries g": lambda x: PairsSeries(TruncSeries(0, [1, 2, 3]), x),
     "pairs_basis_element r": lambda x: pairs_basis_element(x, 4),

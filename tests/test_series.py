@@ -97,6 +97,46 @@ class TestLaurentPoly:
         p = LaurentPoly(terms)
         assert involution_check(p + p.involution())
 
+    @given(laurent_terms, laurent_terms, st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3))),
+           st.integers(-3, 3), st.integers(-5, 5), st.integers(0, 3), st.integers(-5, 5),
+           st.lists(st.integers(-2, 2), max_size=8))
+    def test_every_operation_stores_no_zero(self, ta, tb, pairs, k, s, n, lo, dense):
+        # _raw is the one place that drops zeros: every path that builds a
+        # LaurentPoly must leave none, and agree with a naive term map
+        def naive(terms):
+            acc = {}
+            for e, c in terms:
+                acc[e] = acc.get(e, 0) + c
+            return {e: c for e, c in acc.items() if c}
+
+        def naive_pow(terms, n):
+            acc = [(0, 1)]
+            for _ in range(n):
+                acc = [(e1 + e2, c1 * c2) for e1, c1 in naive(acc).items() for e2, c2 in terms]
+            return acc
+
+        a, b = LaurentPoly(ta), LaurentPoly(tb)
+        ia, ib = list(ta.items()), list(tb.items())
+        cases = [
+            (a, ia),
+            (LaurentPoly(pairs), pairs),
+            (a + b, ia + ib),
+            (a - b, ia + [(e, -c) for e, c in ib]),
+            (a * b, [(e1 + e2, c1 * c2) for e1, c1 in ia for e2, c2 in ib]),
+            (k * a, [(e, k * c) for e, c in ia]),
+            (a * k, [(e, k * c) for e, c in ia]),
+            (-a, [(e, -c) for e, c in ia]),
+            (a.scale(k), [(e, k * c) for e, c in ia]),
+            (a.shift(s), [(e + s, c) for e, c in ia]),
+            (a.involution(), [(-e, c) for e, c in ia]),
+            (a ** n, naive_pow(ia, n)),
+            (LaurentPoly.from_json({"terms": {str(e): str(c) for e, c in ta.items()}}), ia),
+            (LaurentPoly._dense(lo, dense), [(lo + i, c) for i, c in enumerate(dense)]),
+        ]
+        for got, terms in cases:
+            assert 0 not in got._terms.values()
+            assert got._terms == naive(terms)
+
 
 class TestTruncSeries:
     def test_window_reporting(self):
@@ -184,6 +224,46 @@ class TestTruncSeries:
     @given(trunc_series(), trunc_series())
     def test_q_negate_is_multiplicative(self, a, b):
         assert q_negate(a * b) == q_negate(a) * q_negate(b)
+
+
+class TestValueTypes:
+    def test_reprs(self):
+        assert repr(LaurentPoly()) == "LaurentPoly(0)"
+        assert repr(LaurentPoly({0: 7})) == "LaurentPoly(7)"
+        assert repr(LaurentPoly({1: -1})) == "LaurentPoly(-1*z)"
+        assert repr(LaurentPoly({4: 7, 1: 5, 0: -1, -2: 3})) == "LaurentPoly(3*z^-2 + -1 + 5*z + 7*z^4)"
+        assert repr(TruncSeries.zero(3)) == "TruncSeries(0 + O(q^4))"
+        assert repr(TruncSeries(0, [5, 1])) == "TruncSeries(5 + 1*q + O(q^2))"
+        assert repr(TruncSeries(-1, [2, 0, -3, 1], 2)) == "TruncSeries(2*q^-1 + -3*q + 1*q^2 + O(q^3))"
+        assert repr(TruncSeries(2, [0, 0, 4], 4)) == "TruncSeries(4*q^4 + O(q^5))"
+        six = "1 + 2*q + 3*q^2 + 4*q^3 + 5*q^4 + 6*q^5"
+        assert repr(TruncSeries(0, list(range(1, 7)))) == f"TruncSeries({six} + O(q^6))"
+        assert repr(TruncSeries(0, list(range(1, 9)) + [0, 0], 9)) == f"TruncSeries({six} + ... + O(q^10))"
+        assert repr(BiSeries([LaurentPoly({0: 1}), LaurentPoly({1: 2})])) == "BiSeries(order_q=1)"
+
+    def test_reprs_past_the_digit_cap(self):
+        # str() raises ValueError past 4300 digits; a repr prints the number in full
+        big = 10 ** 4400
+        digits = "1" + "0" * 4400
+        assert repr(LaurentPoly({2: big, big: -1})) == f"LaurentPoly({digits}*z^2 + -1*z^{digits})"
+        assert repr(TruncSeries(0, [big, -big])) == f"TruncSeries({digits} + -{digits}*q + O(q^2))"
+        assert repr(TruncSeries(big, [3], big)) == f"TruncSeries(3*q^{digits} + O(q^{digits[:-1]}1))"
+
+    def test_trunc_series_neg_sub_and_zero_scale(self):
+        a = TruncSeries(-1, [1, 2, 3], 1)
+        b = TruncSeries(0, [1, 5, 7], 2)
+        assert -a == TruncSeries(-1, [-1, -2, -3], 1)
+        assert a - b == TruncSeries(-1, [1, 1, -2], 1)
+        assert a - a == TruncSeries.zero(1)
+        assert a.scale(0) == TruncSeries.zero(1)
+
+    def test_bi_series_equality_and_json(self):
+        rows = [LaurentPoly({0: 1}), LaurentPoly({-1: 2, 1: 2})]
+        B = BiSeries(rows)
+        assert B == BiSeries(list(rows)) and B != BiSeries(rows[:1])
+        assert B.__eq__(rows) is NotImplemented
+        assert B.to_json() == {"order_q": 1, "rows": [{"terms": {"0": "1"}},
+                                                      {"terms": {"-1": "2", "1": "2"}}]}
 
 
 class TestSeriesInverse:
