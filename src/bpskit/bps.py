@@ -149,7 +149,7 @@ def _reach_base(order: int, g: int) -> int:
     """The length order + g of the window [1 - g, order]; InsufficientWindow
     when order lies below the base exponent 1 - g."""
     if _as_int(order, "order") < 1 - g:
-        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
+        raise InsufficientWindow(f"order {_int_str(order)} is below the base exponent {1 - g}")
     return _as_int(order + g, "window length", 0)
 
 
@@ -168,7 +168,7 @@ def _need_q1(series: TruncSeries, g: int) -> None:
     if series.order < 1:
         raise InsufficientWindow(
             f"decomposition to genus {g} needs the window to reach q^1 "
-            f"(order is {series.order}); {g + 1} leading coefficients are required"
+            f"(order is {_int_str(series.order)}); {g + 1} leading coefficients are required"
         )
 
 
@@ -284,7 +284,7 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
     if H.order < _as_int(g, "g", 0) + 1:
         raise InsufficientWindow(
             f"genus-{g} Hilbert decomposition needs the window to reach q^{g + 1} "
-            f"(order is {H.order})"
+            f"(order is {_int_str(H.order)})"
         )
     n, first = _basis_peel(H, g, g, -1, -2)
     _reject_residual(first, f"genus-{g} Hilbert")

@@ -38,9 +38,6 @@ from .errors import InputError, PreconditionError, ValidationError
 from .k3 import _kkv_table, ky_series, signed_conversion_check, yau_zaslow
 from .series import TruncSeries, _int_str, _int_strs, _json_int, _write_csv, eta_power
 
-_get_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)  # no cap before CPython 3.10.7
-_set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-
 
 def _read_text(path: str) -> str:
     try:
@@ -59,7 +56,7 @@ def _read_json(path: str):
 
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)  # numbers of any length
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
@@ -151,7 +148,8 @@ def _load_pairs(args) -> PairsSeries:
     if args.g is not None:
         g = args.g  # PairsSeries rejects a negative genus
     elif g < 0:
-        raise InputError(f"genus inferred from min_exp {series.min_exp} is negative; pass --g")
+        raise InputError(f"genus inferred from min_exp {_int_str(series.min_exp)} is negative; "
+                         "pass --g")
     return PairsSeries(series, g)
 
 
@@ -189,7 +187,7 @@ def _cmd_bps_validate(args):
     for name in ("identity_0", "identity_gg", "identity_g0"):
         check = getattr(report, name)
         if not check.passed:
-            print(f"{name} fails first at q^{check.first_fail_exponent}", file=sys.stderr)
+            print(f"{name} fails first at q^{_int_str(check.first_fail_exponent)}", file=sys.stderr)
     if not report.passed:
         return 1
 
@@ -488,9 +486,9 @@ def build_parser() -> _Parser:
 def run(argv=None) -> int:
     """Parse argv and execute; returns the exit code instead of raising.
     A command returns 1 when the mathematics rejects its input and nothing
-    otherwise, which is exit 0; each error class maps to 1, 2, 3, 70 or 74."""
-    cap = _get_cap()
-    _set_cap(0)  # for the call, so that messages and output print ints of any size
+    otherwise, which is exit 0; each error class maps to 1, 2, 3, 70 or 74.
+    The interpreter's int <-> str digit cap is left as it is: the library
+    reads, writes and names integers of any size under it."""
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args) or 0
@@ -512,8 +510,6 @@ def run(argv=None) -> int:
 
         traceback.print_exc()
         return 70  # EX_SOFTWARE
-    finally:
-        _set_cap(cap)
 
 
 def _io_error(exc: OSError) -> int:

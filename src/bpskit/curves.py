@@ -14,8 +14,8 @@ from math import comb
 
 from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual, pairs_basis_element
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import (TruncSeries, _add_binom_row, _as_int, _json_int, _Record, _times_binom,
-                     q_negate)
+from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _int_strs, _json_int,
+                     _Record, _times_binom, q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -48,7 +48,8 @@ class NodalCurve(_Record):
         for S, v in self.chi.items():
             S = frozenset(_as_int(i, "node") for i in S)
             if any(i < 0 or i >= self.r for i in S):
-                raise InputError(f"subset {sorted(S)} names a node outside 0..{self.r - 1}")
+                raise InputError(f"subset [{', '.join(_int_strs(sorted(S)))}] names a node "
+                                 f"outside 0..{self.r - 1}")
             norm[S] = _as_int(v, "weight")
         if len(norm).bit_length() != self.r + 1 or len(norm) != 2 ** self.r:  # r may be huge
             raise InputError(f"need weights for all 2^{self.r} node subsets, got {len(norm)}")
@@ -191,7 +192,7 @@ def q_series_decompose(germ: SingularityGerm) -> list[int]:
     if order < d + 1:
         raise InsufficientWindow(
             f"delta = {d} needs {d + 2} exact coefficients (through q^{d + 1}); "
-            f"window stops at q^{order}"
+            f"window stops at q^{_int_str(order)}"
         )
     n, first = _basis_peel(signed, d, d, 1, -2 * d - mu)
     _reject_residual(first, f"delta = {d} punctual")
@@ -211,15 +212,15 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
     expected = milnor_from_geometry(g, _as_int(e_smooth, "e_smooth"))
     if germ.mu != expected:
         raise MilnorMismatch(
-            f"mu = {germ.mu} but genus {g} with smooth-locus Euler characteristic "
-            f"{e_smooth} forces mu = {expected}"
+            f"mu = {_int_str(germ.mu)} but genus {g} with smooth-locus Euler characteristic "
+            f"{_int_str(e_smooth)} forces mu = {_int_str(expected)}"
         )
     width = _reach_base(order, g)
     signed = q_negate(germ.q_euler)
     if signed.order + (1 - g) < order:
         raise InsufficientWindow(
-            f"pairs series to q^{order} needs the punctual series exact through "
-            f"q^{order + g - 1}; window stops at q^{signed.order}"
+            f"pairs series to q^{_int_str(order)} needs the punctual series exact through "
+            f"q^{_int_str(order + g - 1)}; window stops at q^{_int_str(signed.order)}"
         )
     # the signed series is dense from its constant term 1
     out = _times_binom((signed.coeff_list() + [0] * width)[:width], -e_smooth, 1)

@@ -104,8 +104,8 @@ def _unpack_rows(packed: list[int], sums: list[int], nbytes: int, signed: bool,
             fails, source = (("fails the z = 1 identity sum_j [z^j q^h] E^-18 F^-2 = "
                               "[q^h] E^-24", f"[q^{h}] E^-24 is") if identity else
                              (f"does not fit {8 * nbytes}-bit slots", "the b = 0 run gives"))
-            raise ArithmeticError(f"theta engine: q^{h} row {fails}: unpacked "
-                                  f"|coefficients| sum to {got}, {source} {want}")
+            raise ArithmeticError(f"theta engine: q^{h} row {fails}: unpacked |coefficients| "
+                                  f"sum to {_int_str(got)}, {source} {_int_str(want)}")
         rows.append(row)
     return rows
 
@@ -118,7 +118,9 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
     flips signs, so a row's value at z = 1 (at t = 1 if t) bounds each of
     its coefficients.  z-rows take those values from E^-24; t-rows from
     the b = 0 run, and their t^0 slots must equal E^-24.  At c = -1 the
-    signed sum of each z-row must equal [q^h] E^-16 E(q^2)^-4.
+    signed sum of each z-row must equal [q^h] E^-16 E(q^2)^-4.  Every
+    z-row must equal its mirror image (z <-> z^-1), which catches the slot
+    swaps that keep each sum.
     """
     yz = eta_power(-24, h_max).coeff_list()
     sums = _theta_packed(h_max, 1, t, 0) if t else yz
@@ -129,8 +131,15 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
         h = next(h for h, row in enumerate(rows) if row[0] != yz[h])
         raise ArithmeticError(
             f"theta engine: q^{h} row fails the genus-0 identity [t^0 q^h] E^-18 F^-2 = "
-            f"[q^h] E^-24: its t^0 slot holds {rows[h][0]}, [q^{h}] E^-24 is {yz[h]}"
+            f"[q^h] E^-24: its t^0 slot holds {_int_str(rows[h][0])}, [q^{h}] E^-24 is "
+            f"{_int_str(yz[h])}"
         )
+    for h, row in enumerate(() if t else rows):
+        if row != row[::-1]:
+            j = next(j for j in range(h) if row[j] != row[-1 - j])
+            raise ArithmeticError(f"theta engine: q^{h} row fails the mirror identity [z^j q^h] "
+                                  f"E^-18 F^-2 = [z^-j q^h] E^-18 F^-2: z^{j - h} holds "
+                                  f"{_int_str(row[j])}, z^{h - j} holds {_int_str(row[-1 - j])}")
     if c < 0:  # at z = 1, F = E(q^2)^2 / E
         e16, e4 = eta_power(-16, h_max).coeff_list(), eta_power(-4, h_max // 2).coeff_list()
         for h, row in enumerate(rows):
@@ -138,7 +147,8 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
             if sum(row) != want:
                 raise ArithmeticError(f"theta engine: q^{h} row fails the c = -1 identity "
                                       f"sum_j [z^j q^h] E^-18 F^-2 = [q^h] E^-16 E(q^2)^-4: its "
-                                      f"slots sum to {sum(row)}, [q^{h}] E^-16 E(q^2)^-4 is {want}")
+                                      f"slots sum to {_int_str(sum(row))}, [q^{h}] E^-16 "
+                                      f"E(q^2)^-4 is {_int_str(want)}")
     return rows
 
 
@@ -176,7 +186,8 @@ class KkvTable(_Record):
 
     def value(self, g: int, h: int) -> int:
         if not 0 <= g <= h <= self.h_max:
-            raise KeyError(f"(g, h) = ({g}, {h}) lies outside 0 <= g <= h <= {self.h_max}")
+            raise KeyError(f"(g, h) = ({_int_str(g)}, {_int_str(h)}) lies outside "
+                           f"0 <= g <= h <= {self.h_max}")
         return self.rows[(g, h)]
 
     def genus_row(self, g: int) -> list[int]:
@@ -233,13 +244,15 @@ class K3PairsSeries(_Record):
 
     def coeff(self, h: int) -> LaurentPoly:
         if not 0 <= h <= self.h_max:
-            raise InsufficientWindow(f"q^{h} lies outside the exact window [0, {self.h_max}]")
+            raise InsufficientWindow(f"q^{_int_str(h)} lies outside the exact window "
+                                     f"[0, {self.h_max}]")
         return self.rows[h]
 
     def pair_euler(self, n: int, h: int) -> int:
         """Coefficient of y^n q^h."""
         if n > self.y_order:
-            raise InsufficientWindow(f"y^{n} lies beyond the exact window (y_order {self.y_order})")
+            raise InsufficientWindow(f"y^{_int_str(n)} lies beyond the exact window "
+                                     f"(y_order {self.y_order})")
         return self.coeff(h).coeff(n)
 
     def to_json(self) -> dict:
@@ -311,9 +324,8 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
         if not p.is_symmetric():
             raise AsymmetricInput(f"q^{h} coefficient is not z <-> z^-1 symmetric")
         if p and p.max_exp > h:
-            raise AsymmetricInput(
-                f"q^{h} coefficient has z-support up to {p.max_exp}, beyond [{-h}, {h}]"
-            )
+            raise AsymmetricInput(f"q^{h} coefficient has z-support up to "
+                                  f"{_int_str(p.max_exp)}, beyond [{-h}, {h}]")
         dense = TruncSeries._raw(-h, [p.coeff(e) for e in range(-h, h + 1)], h)
         n = _basis_peel(dense, h, 0, -1, 0)[0]
         for g in range(h, -1, -1):

@@ -130,7 +130,10 @@ def _json_int(x, what="coefficient"):
                 return int(x)
             except ValueError:  # past the digit cap
                 return _big_int(x)
-    text = repr(x)
+    try:
+        text = repr(x)
+    except ValueError:  # a list or dict that holds an int past the digit cap
+        text = "a " + type(x).__name__
     if len(text) > 40:
         text = text[:37] + "..."
     raise InputError(f"{what} must be an integer or a decimal string, not {text}")
@@ -482,15 +485,17 @@ class TruncSeries:
     def __init__(self, min_exp: int, coeffs, order: int | None = None):
         coeffs = [_as_int(c) for c in coeffs]
         min_exp = _as_int(min_exp, "min_exp")
-        if order is None:
-            order = min_exp + len(coeffs) - 1
-        elif len(coeffs) != _as_int(order, "order") - min_exp + 1:
-            raise InputError(
-                f"window [{min_exp}, {order}] needs {order - min_exp + 1} "
-                f"coefficients, got {len(coeffs)}"
-            )
-        s = self._raw(min_exp, coeffs, order)
+        order = min_exp + len(coeffs) - 1 if order is None else _as_int(order, "order")
+        s = self._window(min_exp, coeffs, order)
         self._min, self._order, self._coeffs = s._min, s._order, s._coeffs
+
+    @classmethod
+    def _window(cls, min_exp: int, coeffs: list, order: int) -> "TruncSeries":
+        """_raw, after InputError unless coeffs fill [min_exp, order]."""
+        if len(coeffs) != order - min_exp + 1:
+            raise InputError(f"window [{_int_str(min_exp)}, {_int_str(order)}] needs "
+                             f"{_int_str(order - min_exp + 1)} coefficients, got {len(coeffs)}")
+        return cls._raw(min_exp, coeffs, order)
 
     @classmethod
     def _raw(cls, min_exp: int, coeffs: list, order: int) -> "TruncSeries":
@@ -518,7 +523,7 @@ class TruncSeries:
                 raise InputError("an all-zero series needs an explicit order")
             order = top
         elif top is not None and top > order:
-            raise InputError(f"term at exponent {top} lies above order {order}")
+            raise InputError(f"term at exponent {_int_str(top)} lies above order {_int_str(order)}")
         lo = min(nz) if nz else order + 1
         if min_exp is not None:
             lo = min(lo, min_exp)
@@ -550,9 +555,8 @@ class TruncSeries:
     def coeff(self, n: int) -> int:
         """Exact coefficient of q**n; n may lie anywhere at or below order."""
         if n > self._order:
-            raise InsufficientWindow(
-                f"coefficient of q^{n} lies beyond the exact window (order {self._order})"
-            )
+            raise InsufficientWindow(f"coefficient of q^{_int_str(n)} lies beyond the exact "
+                                     f"window (order {_int_str(self._order)})")
         if n < self._min:
             return 0
         return self._coeffs[n - self._min]
@@ -624,9 +628,8 @@ class TruncSeries:
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order` (which must not exceed self.order)."""
         if _as_int(order, "order") > self._order:
-            raise InsufficientWindow(
-                f"cannot extend window: order {order} exceeds known order {self._order}"
-            )
+            raise InsufficientWindow(f"cannot extend window: order {_int_str(order)} exceeds "
+                                     f"known order {_int_str(self._order)}")
         keep = list(self._coeffs[: max(0, order - self._min + 1)])
         return TruncSeries._raw(min(self._min, order + 1), keep, order)
 
@@ -647,20 +650,17 @@ class TruncSeries:
             raise NonUnitLeading("the zero series has no multiplicative inverse")
         lead = self._coeffs[0]
         if lead not in (1, -1):
-            raise NonUnitLeading(
-                f"leading coefficient must be +1 or -1 to invert exactly, got {lead}"
-            )
+            raise NonUnitLeading(f"leading coefficient must be +1 or -1 to invert exactly, "
+                                 f"got {_int_str(lead)}")
         v = self._min
         provable = self._order - 2 * v
         if order > provable:
-            raise InsufficientWindow(
-                f"inverse is certified only through q^{provable}; "
-                f"q^{order} needs the input exact through q^{order + 2 * v}"
-            )
+            raise InsufficientWindow(f"inverse is certified only through q^{_int_str(provable)}; "
+                                     f"q^{_int_str(order)} needs the input exact through "
+                                     f"q^{_int_str(order + 2 * v)}")
         if order < -v:
-            raise InsufficientWindow(
-                f"requested order {order} lies below the inverse's leading exponent {-v}"
-            )
+            raise InsufficientWindow(f"requested order {_int_str(order)} lies below the "
+                                     f"inverse's leading exponent {_int_str(-v)}")
         out = kernels.inverse_unit(list(self._coeffs), order + v + 1)
         return TruncSeries._raw(-v, out, order)
 
@@ -686,12 +686,7 @@ class TruncSeries:
             coeffs = _json_ints(obj["coeffs"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad series JSON: {exc}") from None
-        if len(coeffs) != order - lo + 1:
-            raise InputError(
-                f"series JSON window [{lo}, {order}] needs {order - lo + 1} "
-                f"coefficients, got {len(coeffs)}"
-            )
-        return cls._raw(lo, coeffs, order)
+        return cls._window(lo, coeffs, order)
 
 
 class BiSeries:
@@ -712,7 +707,8 @@ class BiSeries:
 
     def coeff(self, h: int) -> LaurentPoly:
         if not 0 <= h <= self.order_q:
-            raise InsufficientWindow(f"q^{h} lies outside the exact window [0, {self.order_q}]")
+            raise InsufficientWindow(f"q^{_int_str(h)} lies outside the exact window "
+                                     f"[0, {self.order_q}]")
         return self._rows[h]
 
     def rows(self) -> tuple[LaurentPoly, ...]:
@@ -752,10 +748,8 @@ def series_arith(a: TruncSeries, b: TruncSeries, op: str) -> TruncSeries:
     else:
         raise InputError(f"op must be 'add' or 'mul', not {op!r}")
     if out.order < floor:
-        raise EmptyWindow(
-            f"operands certify no coefficient of the {op} result "
-            f"(window collapses at q^{out.order + 1})"
-        )
+        raise EmptyWindow(f"operands certify no coefficient of the {op} result "
+                          f"(window collapses at q^{_int_str(out.order + 1)})")
     return out
 
 
@@ -869,7 +863,7 @@ def eta_power(e: int, order: int) -> TruncSeries:
         a[n], r = divmod(s, n)
         if r:
             raise ArithmeticError(
-                f"eta_power({e}, {order}): Miller's recurrence left remainder "
+                f"eta_power({_int_str(e)}, {order}): Miller's recurrence left remainder "
                 f"{r} at q^{n}"
             )
     return TruncSeries._raw(0, a, order)

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 
@@ -445,6 +446,7 @@ PAST_THE_CAP = [
     (3, ("curve", "stratify", "--g", BIG, "--euler0", "0")),
     (3, ("curve", "stratify", "--g", "1", "--euler0", "0", "--order", BIG)),
     (3, ("curve", "stratify", "--g", "1", "--euler0", "0", "--order", "-" + BIG)),
+    (3, ("curve", "stratify", "--g", "1", "--euler0", BIG)),  # MilnorMismatch names e_smooth
 ]
 
 
@@ -457,7 +459,53 @@ def test_flags_past_the_digit_cap(capsys, monkeypatch, want, argv):
     code, out, err = cli(capsys, *argv)
     assert (code, out) == (want, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert sys.get_int_max_str_digits() == cap  # run() lifts the cap only for the call
+    assert sys.get_int_max_str_digits() == cap  # run() leaves the interpreter's cap alone
+
+
+def test_validate_names_a_failing_exponent_past_the_digit_cap(capsys, monkeypatch):
+    # q^BIG, its window ends written as JSON numbers: identity_g0 fails at q^BIG
+    doc = '{"min_exp": %s, "order": %s, "coeffs": ["1"]}' % (BIG, BIG)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = cli(capsys, "bps", "validate", "--g", "1")
+    assert code == 1
+    assert err == f"identity_g0 fails first at q^{BIG}\n"
+    assert f'"first_fail_exponent": {BIG},\n' in out
+
+
+def test_a_list_past_the_digit_cap_for_an_integer_is_malformed_input(capsys, monkeypatch):
+    # the message names the type: the list's repr would need str() of its entry
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"min_exp": [%s], "order": 1, "coeffs": []}' % BIG))
+    code, out, err = cli(capsys, "bps", "decompose", "--g", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: min_exp must be an integer or a decimal string, not a list\n"
+
+
+def test_overlapping_runs_leave_the_digit_cap_alone(monkeypatch):
+    # the calls run in this order: 1 enters its command, 2 enters, 1 returns, 2 returns
+    entered = [threading.Event(), threading.Event()]
+    first_returned = threading.Event()
+
+    def command(args):
+        entered[args.hmax].set()
+        assert (first_returned if args.hmax else entered[1]).wait(10)
+
+    monkeypatch.setitem(cli_module._VERBS, ("k3", "yz"), (command, cli_module._VERBS["k3", "yz"][1]))
+    codes = [None, None]
+    calls = [threading.Thread(target=lambda i=i: codes.__setitem__(
+        i, run(["k3", "yz", "--hmax", str(i)]))) for i in (0, 1)]
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        calls[0].start()
+        assert entered[0].wait(10)
+        calls[1].start()
+        calls[0].join(10)
+        first_returned.set()
+        calls[1].join(10)
+        assert codes == [0, 0]
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 # Counts and windows past sys.maxsize, longer than any list: exit 3 with one

@@ -41,7 +41,8 @@ from bpskit import (
     validate_ggtc,
     yau_zaslow,
 )
-from bpskit import kernels, product_family
+from bpskit import EmptyWindow, MilnorMismatch, kernels, product_family, series_arith
+from bpskit import cli as cli_module
 from bpskit.k3 import (KKV_FACTORS, _kkv_table, _ky_rows, _theta_packed, _theta_rows,
                        _unpack_rows)
 from bpskit.series import TruncSeries, _expand_product
@@ -189,6 +190,47 @@ PAST_MAXSIZE = [*BELOW_RANGE, "pairs_basis_element order", "hilbert_basis_elemen
 def test_windows_past_maxsize_are_precondition_errors(name):
     with pytest.raises(PreconditionError, match="is past sys.maxsize"):
         WINDOW_CALLS[name](sys.maxsize + 1)
+
+
+# Library calls whose messages name a number past CPython's 4300-digit
+# int <-> str cap: each raises its own error class and prints the number in
+# full, with no help from the caller's cap.
+BIG = 10 ** 4400
+DIGITS = "1" + "0" * 4400  # BIG in decimal, which str() refuses
+PAST_THE_CAP = {
+    "TruncSeries window": (InputError, DIGITS, lambda: TruncSeries(BIG, [1], BIG + 5)),
+    "TruncSeries.from_json window": (InputError, DIGITS, lambda: TruncSeries.from_json(
+        {"min_exp": BIG, "order": BIG + 5, "coeffs": [1]})),
+    "TruncSeries.coeff": (InsufficientWindow, DIGITS, lambda: TruncSeries(0, [1, 2]).coeff(BIG)),
+    "TruncSeries.truncate": (InsufficientWindow, DIGITS,
+                             lambda: TruncSeries(0, [1, 2]).truncate(BIG)),
+    "TruncSeries.inverse order": (InsufficientWindow, DIGITS,
+                                  lambda: TruncSeries(0, [1, 2]).inverse(BIG)),
+    "TruncSeries.inverse valuation": (InsufficientWindow, DIGITS,
+                                      lambda: TruncSeries(BIG, [1], BIG).inverse(0)),
+    "TruncSeries.from_terms": (InputError, DIGITS,
+                               lambda: TruncSeries.from_terms({BIG: 1}, order=5)),
+    "series_arith": (EmptyWindow, DIGITS[:-1] + "1", lambda: series_arith(
+        TruncSeries(BIG, [1], BIG), TruncSeries.zero(0), "mul")),
+    "stratify_pairs_series": (MilnorMismatch, DIGITS,
+                              lambda: stratify_pairs_series(node_germ(5), BIG, 1, 3)),
+    "NodalCurve node": (InputError, DIGITS, lambda: NodalCurve(1, 1, {(): 1, (BIG,): 2})),
+    "KkvTable.value": (KeyError, DIGITS, lambda: KkvTable(1, {}).value(BIG, 1)),
+    "K3PairsSeries.coeff": (InsufficientWindow, DIGITS, lambda: ky_series(1, 2).coeff(BIG)),
+    "K3PairsSeries.pair_euler": (InsufficientWindow, DIGITS,
+                                 lambda: ky_series(1, 2).pair_euler(BIG, 0)),
+    "BiSeries.coeff": (InsufficientWindow, DIGITS, lambda: kkv_product(1).coeff(BIG)),
+    "kkv_decompose": (AsymmetricInput, DIGITS, lambda: kkv_decompose(
+        BiSeries([LaurentPoly({0: 1}), LaurentPoly({BIG: 1, -BIG: 1})]))),
+}
+
+
+@pytest.mark.parametrize("name", PAST_THE_CAP)
+def test_messages_past_the_digit_cap_keep_their_error_class(name):
+    error, digits, call = PAST_THE_CAP[name]
+    with pytest.raises(error) as info:
+        call()
+    assert digits in info.value.args[0]
 
 
 class TestKynSeries:
@@ -355,6 +397,29 @@ class TestThetaEngine:
         assert f"its slots sum to {signed_sum}, " in msg
         assert msg.endswith(f"[q^{h}] E^-16 E(q^2)^-4 is {signed_sum + 1}")
         _theta_rows(9, 1)  # c = +1 does not read the quotient
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_mirror_gate_names_the_row_and_both_slots(self, monkeypatch, capsys, c):
+        # a z^1 <-> z^2 swap in the q^6 row keeps every row sum, so the
+        # identity gates pass it; the row is no longer z <-> z^-1 symmetric
+        good = _theta_rows(9, c)[6]  # z^-6 .. z^6
+        real = _unpack_rows
+
+        def swapped(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            if len(rows) > 6:
+                rows[6][7], rows[6][8] = rows[6][8], rows[6][7]
+            return rows
+
+        monkeypatch.setattr("bpskit.k3._unpack_rows", swapped)
+        with pytest.raises(ArithmeticError) as info:
+            _theta_rows(9, c)
+        msg = str(info.value)
+        assert msg.startswith("theta engine: q^6 row fails the mirror identity ")
+        assert msg.endswith(f"z^-2 holds {good[4]}, z^2 holds {good[7]}")
+        assert cli_module.run(["k3", "ky", "--hmax", "9", "--yorder", "5"]) == 70
+        out, err = capsys.readouterr()
+        assert out == "" and "fails the mirror identity" in err
 
 
 class TestKkvDecompose:
