@@ -37,7 +37,7 @@ from operator import neg, sub
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
 from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _json_int, _json_ints,
-                     _Record, _times_binom)
+                     _Record, _times_binom, _within)
 
 
 class BpsVector(_Record):
@@ -54,6 +54,8 @@ class BpsVector(_Record):
             raise InputError(f"genus {self.g} needs {self.g + 1} entries, got {len(self.n)}")
 
     def __getitem__(self, r: int) -> int:
+        if _as_int(r, "r") < 0:
+            raise IndexError("r must be non-negative")
         return self.n[r]
 
     def to_json(self) -> dict:
@@ -281,11 +283,8 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
     coefficient, so the peel starts at q^0 with r = g.  The window must
     reach q^(g+1); any surviving residual raises NotBpsForm.
     """
-    if H.order < _as_int(g, "g", 0) + 1:
-        raise InsufficientWindow(
-            f"genus-{g} Hilbert decomposition needs the window to reach q^{g + 1} "
-            f"(order is {_int_str(H.order)})"
-        )
+    g = _as_int(g, "g", 0)
+    _within(g + 1, H.order, f"genus-{g} Hilbert decomposition")
     n, first = _basis_peel(H, g, g, -1, -2)
     _reject_residual(first, f"genus-{g} Hilbert")
     return BpsVector(g, tuple(n))

@@ -486,7 +486,8 @@ def build_parser() -> _Parser:
 def run(argv=None) -> int:
     """Parse argv and execute; returns the exit code instead of raising.
     A command returns 1 when the mathematics rejects its input and nothing
-    otherwise, which is exit 0; each error class maps to 1, 2, 3, 70 or 74.
+    otherwise, which is exit 0; the three error classes carry exit codes 1,
+    2 and 3 as exit_code, a failed read or write exits 74 and a bug 70.
     The interpreter's int <-> str digit cap is left as it is: the library
     reads, writes and names integers of any size under it."""
     try:
@@ -494,15 +495,9 @@ def run(argv=None) -> int:
         return args.fn(args) or 0
     except SystemExit as exc:  # -h, --version or a rejected command line
         return exc.code
-    except ValidationError as exc:
+    except (ValidationError, InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:  # the output failed, not bpskit
         return _io_error(exc)
     except Exception:

@@ -15,7 +15,7 @@ from math import comb
 from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual, pairs_basis_element
 from .errors import InputError, InsufficientWindow, MilnorMismatch
 from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _int_strs, _json_int,
-                     _Record, _times_binom, q_negate)
+                     _Record, _times_binom, _within, q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -31,7 +31,8 @@ class NodalCurve(_Record):
     """A genus-g curve with r nodes, labelled 0 .. r-1.
 
     chi maps each subset S of nodes to the Euler characteristic weight of
-    the partial normalisation at S; all 2^r subsets must be present.
+    the partial normalisation at S, as a mapping or as (S, weight) pairs;
+    each of the 2^r subsets must be named exactly once.
     """
 
     __slots__ = ("g", "r", "chi")
@@ -45,11 +46,14 @@ class NodalCurve(_Record):
         if self.r > self.g:
             raise InputError(f"r = {self.r} nodes need genus >= {self.r}, got g = {self.g}")
         norm = {}
-        for S, v in self.chi.items():
-            S = frozenset(_as_int(i, "node") for i in S)
-            if any(i < 0 or i >= self.r for i in S):
-                raise InputError(f"subset [{', '.join(_int_strs(sorted(S)))}] names a node "
-                                 f"outside 0..{self.r - 1}")
+        for key, v in self.chi.items() if isinstance(self.chi, Mapping) else self.chi:
+            nodes = [_as_int(i, "node") for i in key]
+            S = frozenset(nodes)
+            fault = (f"names a node outside 0..{self.r - 1}" if any(i < 0 or i >= self.r for i in S)
+                     else "names a node twice" if len(S) != len(nodes)
+                     else "is named by two keys" if S in norm else None)
+            if fault:
+                raise InputError(f"subset [{', '.join(_int_strs(sorted(nodes)))}] {fault}")
             norm[S] = _as_int(v, "weight")
         if len(norm).bit_length() != self.r + 1 or len(norm) != 2 ** self.r:  # r may be huge
             raise InputError(f"need weights for all 2^{self.r} node subsets, got {len(norm)}")
@@ -63,10 +67,8 @@ class NodalCurve(_Record):
     def from_json(cls, obj) -> "NodalCurve":
         try:
             g, r = _json_int(obj["g"], "g"), _json_int(obj["r"], "r")
-            chi = {}
-            for key, v in obj["chi"].items():
-                S = frozenset(_json_int(t, "node") for t in key.split(",")) if key else frozenset()
-                chi[S] = _json_int(v, "weight")
+            chi = [([_json_int(t, "node") for t in key.split(",")] if key else [],
+                    _json_int(v, "weight")) for key, v in obj["chi"].items()]
             return cls(g, r, chi)
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"bad nodal-curve JSON: {exc}") from None
@@ -120,7 +122,7 @@ def milnor_from_geometry(g: int, e_smooth: int) -> int:
     It is not the Milnor number M: as e(C) = 2 - 2g + M, it is 1 - M, which
     is b - 2 delta for a germ with b branches (0 for the node, -1 for the cusp).
     """
-    return (2 - 2 * g) - e_smooth
+    return (2 - 2 * _as_int(g, "g")) - _as_int(e_smooth, "e_smooth")
 
 
 def nonsingular_contribution(g: int, chi: int, order: int) -> tuple[BpsVector, PairsSeries]:
@@ -188,12 +190,7 @@ def q_series_decompose(germ: SingularityGerm) -> list[int]:
     """
     d, mu = germ.delta, germ.mu
     signed = q_negate(germ.q_euler)
-    order = signed.order
-    if order < d + 1:
-        raise InsufficientWindow(
-            f"delta = {d} needs {d + 2} exact coefficients (through q^{d + 1}); "
-            f"window stops at q^{_int_str(order)}"
-        )
+    _within(d + 1, signed.order, f"delta = {d} punctual decomposition")
     n, first = _basis_peel(signed, d, d, 1, -2 * d - mu)
     _reject_residual(first, f"delta = {d} punctual")
     return n
@@ -209,7 +206,7 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
     e_smooth) = (2 - 2g) - e_smooth.
     """
     g = _as_int(g, "g", 0)
-    expected = milnor_from_geometry(g, _as_int(e_smooth, "e_smooth"))
+    expected = milnor_from_geometry(g, e_smooth)
     if germ.mu != expected:
         raise MilnorMismatch(
             f"mu = {_int_str(germ.mu)} but genus {g} with smooth-locus Euler characteristic "
@@ -229,5 +226,5 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
 
 def subsets_of_nodes(r: int):
     """All subsets of {0, .., r-1}, smallest first; handy for building chi maps."""
-    for size in range(r + 1):
-        yield from (frozenset(c) for c in combinations(range(r), size))
+    r = _as_int(r, "r", 0)
+    return (frozenset(c) for size in range(r + 1) for c in combinations(range(r), size))

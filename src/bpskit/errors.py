@@ -4,8 +4,9 @@ ValidationError subclasses mean the input data fails a mathematical
 identity (CLI exit 1); InputError means malformed input (exit 2);
 PreconditionError subclasses mean the input does not carry enough (or
 the right shape of) information for the operation to run (exit 3).
-InputError is also a ValueError.  Any other exception is a bug (exit 70),
-except a failed read or write (exit 74).
+Each of the three carries its CLI exit code as exit_code.  InputError is
+also a ValueError.  Any other exception is a bug (exit 70), except a
+failed read or write (exit 74).
 """
 
 
@@ -16,14 +17,20 @@ class BpskitError(Exception):
 class ValidationError(BpskitError):
     """An exact identity the input was claimed to satisfy does not hold."""
 
+    exit_code = 1
+
 
 class PreconditionError(BpskitError):
     """The input violates an operation's precondition."""
+
+    exit_code = 3
 
 
 class InputError(BpskitError, ValueError):
     """Malformed input (bad JSON, a wrong schema, an unparsable flag, an
     argument out of range); a ValueError too, for callers that catch that."""
+
+    exit_code = 2
 
 
 class EmptyWindow(PreconditionError):

@@ -35,9 +35,10 @@ from math import comb
 from operator import neg
 
 from .bps import _basis_peel
-from .errors import AsymmetricInput, InputError, InsufficientWindow
+from .errors import AsymmetricInput, InputError
 from .series import (BiSeries, LaurentPoly, TruncSeries, _as_int, _int_str, _int_strs, _json_int,
-                     _Record, _times_binom, _unpack, _write_csv, _write_lines, eta_power)
+                     _Record, _times_binom, _unpack, _write_csv, _write_lines, _within,
+                     eta_power)
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -185,6 +186,7 @@ class KkvTable(_Record):
     rows: dict
 
     def value(self, g: int, h: int) -> int:
+        g, h = _as_int(g, "g"), _as_int(h, "h")
         if not 0 <= g <= h <= self.h_max:
             raise KeyError(f"(g, h) = ({_int_str(g)}, {_int_str(h)}) lies outside "
                            f"0 <= g <= h <= {self.h_max}")
@@ -192,7 +194,7 @@ class KkvTable(_Record):
 
     def genus_row(self, g: int) -> list[int]:
         """Counts r_(g,h) for h = g .. h_max."""
-        return [self.rows[(g, h)] for h in range(g, self.h_max + 1)]
+        return [self.rows[(g, h)] for h in range(_as_int(g, "g"), self.h_max + 1)]
 
     def sorted_items(self):
         return sorted(self.rows.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -243,17 +245,11 @@ class K3PairsSeries(_Record):
         return len(self.rows) - 1
 
     def coeff(self, h: int) -> LaurentPoly:
-        if not 0 <= h <= self.h_max:
-            raise InsufficientWindow(f"q^{_int_str(h)} lies outside the exact window "
-                                     f"[0, {self.h_max}]")
-        return self.rows[h]
+        return self.rows[_within(h, self.h_max, "a row", 0)]
 
     def pair_euler(self, n: int, h: int) -> int:
         """Coefficient of y^n q^h."""
-        if n > self.y_order:
-            raise InsufficientWindow(f"y^{_int_str(n)} lies beyond the exact window "
-                                     f"(y_order {self.y_order})")
-        return self.coeff(h).coeff(n)
+        return self.coeff(h).coeff(_within(n, self.y_order, "a pair count", var="y"))
 
     def to_json(self) -> dict:
         return {

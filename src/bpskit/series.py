@@ -39,6 +39,18 @@ def _as_int(x, what="coefficient", least=None):
     return x
 
 
+def _within(n, hi, what, lo=None, var="q"):
+    """n, an int by _as_int, when var^n lies in the exact window [lo, hi]
+    (no lower end without lo); InsufficientWindow names what needs it
+    otherwise."""
+    n = _as_int(n, "exponent")
+    if n > hi or lo is not None and n < lo:
+        window = (f"order is {_int_str(hi)}" if lo is None
+                  else f"window is [{_int_str(lo)}, {_int_str(hi)}]")
+        raise InsufficientWindow(f"{what} needs the window to reach {var}^{_int_str(n)} ({window})")
+    return n
+
+
 # CPython caps int <-> str conversion at sys.get_int_max_str_digits()
 # digits (4300 by default).  The converters below split a longer number
 # into pieces under the cap; they run only after str() or int() raised.
@@ -258,6 +270,21 @@ def _unpack(p: int, n: int, nbytes: int, signed: bool) -> tuple[list, int]:
     return slots, p >> (b * n)
 
 
+def _repr(x) -> str:
+    """repr(x), also where an int past the digit cap stands alone or in a
+    tuple or dict."""
+    try:
+        return repr(x)
+    except ValueError:
+        if isinstance(x, int):
+            return _big_str(x)
+        if isinstance(x, tuple):
+            return "(" + ", ".join(map(_repr, x)) + ("," if len(x) == 1 else "") + ")"
+        if isinstance(x, dict):
+            return "{" + ", ".join(f"{_repr(k)}: {_repr(v)}" for k, v in x.items()) + "}"
+        raise
+
+
 _setattr = object.__setattr__  # binds a field past _Record.__setattr__
 
 
@@ -317,7 +344,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
@@ -364,7 +391,7 @@ class LaurentPoly:
         return cls._raw(dict(zip(range(lo, lo + len(coeffs)), coeffs)))
 
     def coeff(self, e: int) -> int:
-        return self._terms.get(e, 0)
+        return self._terms.get(_as_int(e, "exponent"), 0)
 
     def items(self):
         """Terms as (exponent, coefficient) pairs in increasing exponent order."""
@@ -516,17 +543,15 @@ class TruncSeries:
         The caller asserts exactness: exponents not listed are zero on the
         whole window.
         """
-        nz = {e: c for e, c in terms.items() if c}
-        top = max(nz) if nz else None
-        if order is None:
-            if top is None:
-                raise InputError("an all-zero series needs an explicit order")
-            order = top
-        elif top is not None and top > order:
+        nz = LaurentPoly(terms)._terms
+        if order is None and not nz:
+            raise InputError("an all-zero series needs an explicit order")
+        order = max(nz) if order is None else _as_int(order, "order")
+        if nz and (top := max(nz)) > order:
             raise InputError(f"term at exponent {_int_str(top)} lies above order {_int_str(order)}")
         lo = min(nz) if nz else order + 1
         if min_exp is not None:
-            lo = min(lo, min_exp)
+            lo = min(lo, _as_int(min_exp, "min_exp"))
         coeffs = [0] * _as_int(order - lo + 1, "window length", 0)
         for e, c in nz.items():
             coeffs[e - lo] = c
@@ -554,10 +579,7 @@ class TruncSeries:
 
     def coeff(self, n: int) -> int:
         """Exact coefficient of q**n; n may lie anywhere at or below order."""
-        if n > self._order:
-            raise InsufficientWindow(f"coefficient of q^{_int_str(n)} lies beyond the exact "
-                                     f"window (order {_int_str(self._order)})")
-        if n < self._min:
+        if _within(n, self._order, "a coefficient") < self._min:
             return 0
         return self._coeffs[n - self._min]
 
@@ -627,9 +649,7 @@ class TruncSeries:
 
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order` (which must not exceed self.order)."""
-        if _as_int(order, "order") > self._order:
-            raise InsufficientWindow(f"cannot extend window: order {_int_str(order)} exceeds "
-                                     f"known order {_int_str(self._order)}")
+        _within(order, self._order, "truncation")
         keep = list(self._coeffs[: max(0, order - self._min + 1)])
         return TruncSeries._raw(min(self._min, order + 1), keep, order)
 
@@ -706,10 +726,7 @@ class BiSeries:
         return len(self._rows) - 1
 
     def coeff(self, h: int) -> LaurentPoly:
-        if not 0 <= h <= self.order_q:
-            raise InsufficientWindow(f"q^{_int_str(h)} lies outside the exact window "
-                                     f"[0, {self.order_q}]")
-        return self._rows[h]
+        return self._rows[_within(h, self.order_q, "a row", 0)]
 
     def rows(self) -> tuple[LaurentPoly, ...]:
         return self._rows

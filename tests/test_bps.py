@@ -45,6 +45,13 @@ class TestBpsVector:
         assert BpsVector.from_json(v.to_json()) == v
         assert v.to_json() == {"g": 3, "n": [1, -2, 0, 7]}
 
+    def test_index_is_a_genus_from_zero(self):
+        v = BpsVector(2, (5, 6, 7))
+        assert (v[0], v[2], list(v)) == (5, 7, [5, 6, 7])
+        for r in (-1, 3):
+            with pytest.raises(IndexError):
+                v[r]
+
     @pytest.mark.parametrize("doc", [{"n": [1]}, {"g": 0}, [0, [1]]])
     def test_from_json_names_a_missing_field(self, doc):
         with pytest.raises(InputError, match="^bad BPS vector JSON: "):

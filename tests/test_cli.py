@@ -151,6 +151,16 @@ class TestCurveVerbs:
         roundtrip = cli_json(capsys, "bps", "decompose", "--in", str(f1))
         assert roundtrip == obj["vector"]
 
+    @pytest.mark.parametrize("chi, message", [
+        ({"": 1, "0": 2, "00": 3}, "error: subset [0] is named by two keys\n"),
+        ({"": 1, "0": 2, "-0": 3}, "error: subset [0] is named by two keys\n"),
+        ({"": 1, "0": 2, "0,0": 3}, "error: subset [0, 0] names a node twice\n"),
+    ], ids=["00", "-0", "0,0"])
+    def test_nodal_keys_naming_one_subset_are_malformed(self, capsys, monkeypatch, chi, message):
+        doc = {"g": 2, "r": 1, "chi": chi}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert cli(capsys, "curve", "nodal") == (2, "", message)
+
     def test_qseries(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(NODE_GERM)))
         assert cli_json(capsys, "curve", "qseries") == {"n": [-1, 1]}

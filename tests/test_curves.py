@@ -105,6 +105,15 @@ class TestNodalCurve:
         with pytest.raises(ValueError):
             NodalCurve(2, 1, {frozenset(): 1, frozenset({3}): 1})
 
+    @pytest.mark.parametrize("chi, message", [
+        ({frozenset(): 1, frozenset({0}): 2, (0,): 3}, r"^subset \[0\] is named by two keys$"),
+        ([((), 1), ((0,), 2), ([0], 3)], r"^subset \[0\] is named by two keys$"),
+        ({(): 1, (0, 0): 2}, r"^subset \[0, 0\] names a node twice$"),
+    ], ids=["frozenset-and-tuple", "pairs", "node-twice"])
+    def test_each_subset_is_named_once(self, chi, message):
+        with pytest.raises(InputError, match=message):
+            NodalCurve(1, 1, chi)
+
     def test_json_roundtrip(self):
         c = NodalCurve(2, 2, {S: 1 + len(S) for S in subsets_of_nodes(2)})
         again = NodalCurve.from_json(c.to_json())

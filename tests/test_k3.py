@@ -30,6 +30,7 @@ from bpskit import (
     kkv_decompose,
     kkv_product,
     ky_series,
+    milnor_from_geometry,
     nodal_pairs_series,
     node_germ,
     nonsingular_contribution,
@@ -37,6 +38,7 @@ from bpskit import (
     signed_conversion_check,
     smooth_germ,
     stratify_pairs_series,
+    subsets_of_nodes,
     sym_euler,
     validate_ggtc,
     yau_zaslow,
@@ -131,6 +133,24 @@ WINDOW_CALLS = {
     "stratify_pairs_series e_smooth": lambda x: stratify_pairs_series(node_germ(8), x, 1, 4),
     "stratify_pairs_series g": lambda x: stratify_pairs_series(node_germ(8), 0, x, 4),
     "stratify_pairs_series order": lambda x: stratify_pairs_series(node_germ(8), 0, 1, x),
+    "TruncSeries.coeff": lambda x: TruncSeries(0, [1, 2, 3]).coeff(x),
+    "TruncSeries[]": lambda x: TruncSeries(0, [1, 2, 3])[x],
+    "TruncSeries.from_terms exponent": lambda x: TruncSeries.from_terms({x: 1}, order=5),
+    "TruncSeries.from_terms coefficient": lambda x: TruncSeries.from_terms({1: x}, order=5),
+    "TruncSeries.from_terms order": lambda x: TruncSeries.from_terms({1: 1}, order=x),
+    "TruncSeries.from_terms min_exp": lambda x: TruncSeries.from_terms({1: 1}, 5, x),
+    "BiSeries.coeff": lambda x: kkv_product(2).coeff(x),
+    "K3PairsSeries.coeff": lambda x: ky_series(2, 4).coeff(x),
+    "K3PairsSeries.pair_euler n": lambda x: ky_series(2, 4).pair_euler(x, 1),
+    "K3PairsSeries.pair_euler h": lambda x: ky_series(2, 4).pair_euler(1, x),
+    "LaurentPoly.coeff": lambda x: LaurentPoly({1: 1}).coeff(x),
+    "KkvTable.value g": lambda x: _kkv_table(2).value(x, 1),
+    "KkvTable.value h": lambda x: _kkv_table(2).value(1, x),
+    "KkvTable.genus_row": lambda x: _kkv_table(2).genus_row(x),
+    "BpsVector[]": lambda x: BpsVector(1, (1, 2))[x],
+    "milnor_from_geometry g": lambda x: milnor_from_geometry(x, 0),
+    "milnor_from_geometry e_smooth": lambda x: milnor_from_geometry(1, x),
+    "subsets_of_nodes": subsets_of_nodes,
 }
 
 
@@ -169,6 +189,7 @@ BELOW_RANGE = {
     "smooth_germ": (-1, "order must be non-negative"),
     "nonsingular_contribution g": (-1, "g must be non-negative"),
     "stratify_pairs_series g": (-1, "g must be non-negative"),
+    "subsets_of_nodes": (-1, "r must be non-negative"),
 }
 
 

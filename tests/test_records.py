@@ -129,6 +129,17 @@ def test_bad_arguments_are_type_errors(call):
         call()
 
 
+def test_repr_past_the_digit_cap():
+    big = 10 ** 5000
+    digits = "1" + "0" * 5000
+    assert repr(BpsVector(1, (big, 1))) == f"BpsVector(g=1, n=({digits}, 1))"
+    assert repr(KkvTable(0, {(0, 0): big})) == f"KkvTable(h_max=0, rows={{(0, 0): {digits}}})"
+    assert repr(IdentityCheck(False, big)) == (f"IdentityCheck(passed=False, "
+                                               f"first_fail_exponent={digits})")
+    assert repr(SignedCheckReport(False, (big,), 1, 2)) == (
+        f"SignedCheckReport(passed=False, first_mismatch=({digits},), h_max=1, y_order=2)")
+
+
 def test_checks_still_run_on_construction():
     with pytest.raises(ValueError):
         BpsVector(g=2, n=(1, 2))

@@ -9,16 +9,21 @@ import hypothesis.strategies as st
 from bpskit import (
     BiSeries,
     EmptyWindow,
+    InputError,
     InsufficientWindow,
     LaurentPoly,
     NonUnitLeading,
+    SingularityGerm,
     TruncSeries,
     binom_pow,
     eta_power,
+    hilbert_decompose,
     involution_check,
+    ky_series,
     lp_arith,
     product_family,
     q_negate,
+    q_series_decompose,
     series_arith,
     series_inverse,
 )
@@ -264,6 +269,61 @@ class TestValueTypes:
         assert B.__eq__(rows) is NotImplemented
         assert B.to_json() == {"order_q": 1, "rows": [{"terms": {"0": "1"}},
                                                       {"terms": {"-1": "2", "1": "2"}}]}
+
+
+# public error branches: (call, exception class, the whole message)
+ERROR_BRANCHES = {
+    "inverse below the leading exponent": (
+        lambda: TruncSeries(2, [1, 0, 0, 0, 0], 6).inverse(-3), InsufficientWindow,
+        "requested order -3 lies below the inverse's leading exponent -2"),
+    "LaurentPoly.from_json list": (
+        lambda: LaurentPoly.from_json([]), InputError,
+        "Laurent polynomial JSON must be an object with a 'terms' map"),
+    "series_arith div": (
+        lambda: series_arith(TruncSeries(0, [1]), TruncSeries(0, [1]), "div"), InputError,
+        "op must be 'add' or 'mul', not 'div'"),
+    "BiSeries int row": (lambda: BiSeries([1]), TypeError,
+                         "BiSeries rows must be LaurentPoly values"),
+    "from_terms all zero": (lambda: TruncSeries.from_terms({}), InputError,
+                            "an all-zero series needs an explicit order"),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_BRANCHES)
+def test_error_branches(name):
+    call, error, message = ERROR_BRANCHES[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+# series._within's InsufficientWindow, one per kind of window
+WINDOW_MESSAGES = {
+    "coeff": (lambda: TruncSeries(0, [1, 2])[3],
+              "a coefficient needs the window to reach q^3 (order is 1)"),
+    "truncate": (lambda: TruncSeries(0, [1, 2]).truncate(2),
+                 "truncation needs the window to reach q^2 (order is 1)"),
+    "row below": (lambda: BiSeries([LaurentPoly({0: 1})]).coeff(-1),
+                  "a row needs the window to reach q^-1 (window is [0, 0])"),
+    "row above": (lambda: BiSeries([LaurentPoly({0: 1})]).coeff(1),
+                  "a row needs the window to reach q^1 (window is [0, 0])"),
+    "pair_euler": (lambda: ky_series(1, 3).pair_euler(4, 0),
+                   "a pair count needs the window to reach y^4 (order is 3)"),
+    "hilbert_decompose": (lambda: hilbert_decompose(TruncSeries(0, [1, 2]), 2),
+                          "genus-2 Hilbert decomposition needs the window to reach q^3 "
+                          "(order is 1)"),
+    "q_series_decompose": (lambda: q_series_decompose(SingularityGerm(2, 0, TruncSeries(0, [1]))),
+                           "delta = 2 punctual decomposition needs the window to reach q^3 "
+                           "(order is 0)"),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_MESSAGES)
+def test_window_messages(name):
+    call, message = WINDOW_MESSAGES[name]
+    with pytest.raises(InsufficientWindow) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestSeriesInverse:
