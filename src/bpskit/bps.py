@@ -124,9 +124,10 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
     if s > 0:  # x -> -x turns u into -(x^-1 - 2 + x): n_r comes out as (-1)^r n_r
         p[-2::-2] = map(neg, p[-2::-2])
     n = []
-    for _ in range(top):  # n_r is P at x = 1, where u = 0; then P <- (P - n_r) / u
+    # n_r is P at x = 1, where u = 0; then P <- (P - n_r) / u.  Subtracting n_r would change
+    # only p[-1], which reaches only the last double prefix sum, and [:-1] drops that
+    for _ in range(top):
         n.append(2 * sum(p) - p[-1])
-        p[-1] -= n[-1]
         p = list(accumulate(accumulate(p)))[:-1]
     n.append(p[0])
     if s > 0:

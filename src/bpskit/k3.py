@@ -185,6 +185,16 @@ class KkvTable(_Record):
     h_max: int
     rows: dict
 
+    def _check(self):
+        _as_int(self.h_max, "h_max", 0)
+        rows = self.rows
+        if not isinstance(rows, dict):
+            raise TypeError(f"KkvTable rows must be a dict, not {type(rows).__name__}")
+        for key, r in rows.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise TypeError("KkvTable keys must be (g, h) pairs of ints")
+            _as_int(key[0], "g"), _as_int(key[1], "h"), _as_int(r, "r")
+
     def value(self, g: int, h: int) -> int:
         g, h = _as_int(g, "g"), _as_int(h, "h")
         if not 0 <= g <= h <= self.h_max:
@@ -194,7 +204,9 @@ class KkvTable(_Record):
 
     def genus_row(self, g: int) -> list[int]:
         """Counts r_(g,h) for h = g .. h_max."""
-        return [self.rows[(g, h)] for h in range(_as_int(g, "g"), self.h_max + 1)]
+        if not 0 <= _as_int(g, "g") <= self.h_max:
+            raise KeyError(f"g = {_int_str(g)} lies outside 0 <= g <= {self.h_max}")
+        return [self.rows[(g, h)] for h in range(g, self.h_max + 1)]
 
     def sorted_items(self):
         return sorted(self.rows.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -239,6 +251,13 @@ class K3PairsSeries(_Record):
     __slots__ = ("rows", "y_order")
     rows: tuple
     y_order: int
+
+    def _check(self):
+        _as_int(self.y_order, "y_order")
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for p in self.rows:
+            if not isinstance(p, LaurentPoly):
+                raise TypeError("K3PairsSeries rows must be LaurentPoly values")
 
     @property
     def h_max(self) -> int:

@@ -1,6 +1,11 @@
 """Kernels for dense exact-integer series arithmetic.
 
 Coefficients are Python ints throughout, so precision is unbounded.
+`mul_trunc` and `inverse_unit` do not test each term for zero: the
+series they see are mostly dense, so the test costs on every term and
+rarely skips one.  `mul_trunc` skips only a zero a_i, which drops a
+whole row of products and keeps a sparse left operand such as
+`TruncSeries.one(n)` linear.
 `mul_sparse_unit_inplace` has no caller; it stays while the benchmark
 declares its per-layer metrics.
 """
@@ -14,9 +19,7 @@ def mul_trunc(a, b, n):
         if not ai:
             continue
         for j in range(min(nb, n - i)):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+            out[i + j] += ai * b[j]
     return out
 
 
@@ -33,13 +36,8 @@ def inverse_unit(c, n):
     d[0] = lead
     nc = len(c)
     for m in range(1, n):
-        s = 0
-        for j in range(1, min(m, nc - 1) + 1):
-            cj = c[j]
-            if cj:
-                s += cj * d[m - j]
-        if s:
-            d[m] = -s if lead == 1 else s
+        s = sum([c[j] * d[m - j] for j in range(1, min(m, nc - 1) + 1)])
+        d[m] = -s if lead == 1 else s
     return d
 
 
@@ -62,8 +60,6 @@ def mul_sparse_unit_inplace(acc, offsets, coeffs):
 
 def axpy_shift(dst, src, shift, c, lo, hi):
     """dst[i + shift] += c * src[i] for lo <= i <= hi."""
-    if not c:
-        return
     for i in range(lo, hi + 1):
         v = src[i]
         if v:

@@ -855,28 +855,27 @@ def eta_power(e: int, order: int) -> TruncSeries:
 
         n a_n = sum_{k>=1, f_k != 0} ((e+1) k - n) f_k a_(n-k),
 
-    so a_n costs O(sqrt(n)) and the whole series O(order**1.5).  Every
-    division by n is exact; a remainder raises ArithmeticError.
+    so a_n costs O(sqrt(n)) and the whole series O(order**1.5).  The
+    terms sit in one list, ascending in k, with the sign f_k folded into
+    each, so a_n is one sum over the terms with k <= n.  Every division
+    by n is exact; a remainder raises ArithmeticError.
     """
     e = _as_int(e, "exponent")
     order = _as_int(order, "order", 0)
-    plus, minus = [], []  # (k, (e+1) k) for each k >= 1 with f_k = +1 / -1
+    f = []  # (k, f_k (e+1) k, f_k) for each k >= 1 with f_k != 0
     m = 1
     while (k := m * (3 * m - 1) // 2) <= order:
-        side = minus if m % 2 else plus
-        side.append((k, (e + 1) * k))
+        fk = -1 if m % 2 else 1
+        f.append((k, fk * (e + 1) * k, fk))
         if k + m <= order:
-            side.append((k + m, (e + 1) * (k + m)))
+            f.append((k + m, fk * (e + 1) * (k + m), fk))
         m += 1
     a = [1] + [0] * order
-    ip = im = 0
+    i = 0
     for n in range(1, order + 1):
-        while ip < len(plus) and plus[ip][0] <= n:
-            ip += 1
-        while im < len(minus) and minus[im][0] <= n:
-            im += 1
-        s = (sum([(ek - n) * a[n - k] for k, ek in plus[:ip]])
-             - sum([(ek - n) * a[n - k] for k, ek in minus[:im]]))
+        while i < len(f) and f[i][0] <= n:
+            i += 1
+        s = sum([(w - fk * n) * a[n - k] for k, w, fk in f[:i]])
         a[n], r = divmod(s, n)
         if r:
             raise ArithmeticError(

@@ -14,6 +14,7 @@ from bpskit import (
     BpsVector,
     InputError,
     InsufficientWindow,
+    K3PairsSeries,
     KkvTable,
     LaurentPoly,
     NodalCurve,
@@ -237,6 +238,7 @@ PAST_THE_CAP = {
                               lambda: stratify_pairs_series(node_germ(5), BIG, 1, 3)),
     "NodalCurve node": (InputError, DIGITS, lambda: NodalCurve(1, 1, {(): 1, (BIG,): 2})),
     "KkvTable.value": (KeyError, DIGITS, lambda: KkvTable(1, {}).value(BIG, 1)),
+    "KkvTable.genus_row": (KeyError, DIGITS, lambda: KkvTable(1, {}).genus_row(BIG)),
     "K3PairsSeries.coeff": (InsufficientWindow, DIGITS, lambda: ky_series(1, 2).coeff(BIG)),
     "K3PairsSeries.pair_euler": (InsufficientWindow, DIGITS,
                                  lambda: ky_series(1, 2).pair_euler(BIG, 0)),
@@ -514,6 +516,23 @@ class TestKkvTable:
         t = kkv_decompose(kkv_product(4))
         assert len(t.genus_row(2)) == 3
 
+    @pytest.mark.parametrize("g", [-1, 3])
+    def test_genus_row_bounds(self, g):
+        with pytest.raises(KeyError, match=rf"g = {g} lies outside 0 <= g <= 2"):
+            _kkv_table(2).genus_row(g)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, {(0, 0): 2}), "h_max must be an int, not float"),
+        ((1, {(0, 0): 2.0}), "r must be an int, not float"),
+        ((1, {(0, True): 2}), "h must be an int, not bool"),
+        ((1, {(0,): 2}), "keys must be .g, h. pairs of ints"),
+        ((1, {"gh": 2}), "keys must be .g, h. pairs of ints"),
+        ((1, [((0, 0), 2)]), "rows must be a dict, not list"),
+    ])
+    def test_fields_are_checked(self, args, message):
+        with pytest.raises(TypeError, match=message):
+            KkvTable(*args)
+
     def test_json_roundtrip(self):
         t = kkv_decompose(kkv_product(3))
         again = KkvTable.from_json(t.to_json())
@@ -525,6 +544,21 @@ class TestKkvTable:
         buf = io.StringIO()
         kkv_decompose(kkv_product(1)).write_csv(buf)
         assert buf.getvalue() == "g,h,r_gh\n0,0,1\n0,1,24\n1,1,-2\n"
+
+
+class TestK3PairsSeries:
+    @pytest.mark.parametrize("args, message", [
+        (((LaurentPoly({1: 1}),), True), "y_order must be an int, not bool"),
+        ((("x",), 2), "rows must be LaurentPoly values"),
+    ])
+    def test_fields_are_checked(self, args, message):
+        with pytest.raises(TypeError, match=message):
+            K3PairsSeries(*args)
+
+    def test_rows_are_held_as_a_tuple(self):
+        r = K3PairsSeries([LaurentPoly({1: 1})], -5)
+        assert r.rows == (LaurentPoly({1: 1}),)
+        assert hash(r) == hash(K3PairsSeries((LaurentPoly({1: 1}),), -5))
 
 
 class TestKyToKkv:

@@ -38,6 +38,22 @@ class TestKernels:
         b = [rng.randint(-(10 ** 40), 10 ** 40) for _ in range(20)]
         assert impl.mul_trunc(a, b, 25) == _reference_conv(a, b, 25)
 
+    def test_mul_trunc_skips_a_zero_row_of_a(self, impl):
+        # a zero a_i costs no product, which keeps TruncSeries.one(n) * s linear;
+        # an int subclass's __rmul__ runs before int.__mul__, so it counts each one
+        products = []
+
+        class Counting(int):
+            def __rmul__(self, other):
+                products.append(other)
+                return other * int(self)
+
+        a = [0] * 100
+        a[50] = 7
+        out = impl.mul_trunc(a, [Counting(j + 1) for j in range(100)], 100)
+        assert len(products) == 50
+        assert out == [0] * 50 + [7 * (j + 1) for j in range(50)]
+
     @pytest.mark.parametrize("lead", [1, -1])
     def test_inverse_unit(self, impl, rng, lead):
         c = [lead] + [rng.randint(-9, 9) for _ in range(11)]
