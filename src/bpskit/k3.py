@@ -14,9 +14,9 @@ computes F^-2 from O(sqrt(h)) rows per q-degree.  Each row is held as
 one Python int with b bits a slot (Kronecker substitution; Harvey,
 arXiv:0712.4046), so a row times a row is one big-int multiply.  The
 row's value at z = 1 bounds every coefficient, fixes b and checks each
-unpacked row.  At z = 1, F = E^3, so those values are the Yau-Zaslow
-counts [q^h] E^-24: a z-row whose |coefficients| do not sum to them
-fails the identity, whether a slot overflowed or the engine is wrong.
+unpacked row: at z = 1, F = E^3, so a z-row's |coefficients| sum to the
+Yau-Zaslow count [q^h] E^-24.  Every z-row is also z <-> z^-1 symmetric,
+and at c = -1 sums to [q^h] E^-16 E(q^2)^-4; `_theta_rows` checks each.
 
 The genus table comes from the same engine on rows in
 t = z - 2 + z^-1, where r_(g,h) = (-1)^g [t^g q^h]: no peel runs.  Its
@@ -86,27 +86,31 @@ def _theta_packed(h_max: int, c: int, t: bool, b: int) -> list[int]:
             for h in range(h_max + 1)]
 
 
+def _fail(h: int, fails: str, found: str, got: int, source: str, want: int):
+    """Raise the theta engine's error: row h fails a gate, holding got, not want."""
+    raise ArithmeticError(f"theta engine: q^{h} row {fails}: {found} {_int_str(got)}, "
+                          f"{source} {_int_str(want)}")
+
+
 def _unpack_rows(packed: list[int], sums: list[int], nbytes: int, signed: bool,
                  t: bool, identity: bool = False) -> list[list[int]]:
     """Slot lists of packed rows with nbytes bytes a slot (series._unpack).
 
-    Row h has h + 1 slots in t, 2h + 1 in z.  The absolute values of each
-    row must sum to its value in sums, with no bits left above the top
-    slot, or ArithmeticError names the row.  An unsigned row that
-    overflowed a slot always fails: each carry lowers the slot sum by
-    2^b - 1.  sums is the b = 0 run, or with identity the z = 1 values
-    [q^h] E^-24.
+    Row h has h + 1 slots in t, 2h + 1 in z.  It must pass the slot-sum
+    gate of _theta_rows against sums[h] (the b = 0 run, or with identity
+    the z = 1 values [q^h] E^-24) with no bits left above the top slot.
+    An unsigned row that overflowed a slot always fails: each carry
+    lowers the slot sum by 2^b - 1.
     """
     rows = []
     for h, (p, want) in enumerate(zip(packed, sums)):
         row, above = _unpack(p, h + 1 if t else 2 * h + 1, nbytes, signed)
         got = sum(map(abs, row))
         if got != want or above:
-            fails, source = (("fails the z = 1 identity sum_j [z^j q^h] E^-18 F^-2 = "
-                              "[q^h] E^-24", f"[q^{h}] E^-24 is") if identity else
-                             (f"does not fit {8 * nbytes}-bit slots", "the b = 0 run gives"))
-            raise ArithmeticError(f"theta engine: q^{h} row {fails}: unpacked |coefficients| "
-                                  f"sum to {_int_str(got)}, {source} {_int_str(want)}")
+            _fail(h, "fails the z = 1 identity sum_j [z^j q^h] E^-18 F^-2 = [q^h] E^-24"
+                  if identity else f"does not fit {8 * nbytes}-bit slots",
+                  "unpacked |coefficients| sum to", got,
+                  f"[q^{h}] E^-24 is" if identity else "the b = 0 run gives", want)
         rows.append(row)
     return rows
 
@@ -117,39 +121,34 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
     Every coefficient at c = +1 is >= 0 (in t too, since
     (1 - z q^n)(1 - z^-1 q^n) = (1 - q^n)^2 - t q^n), and c = -1 only
     flips signs, so a row's value at z = 1 (at t = 1 if t) bounds each of
-    its coefficients.  z-rows take those values from E^-24; t-rows from
-    the b = 0 run, and their t^0 slots must equal E^-24.  At c = -1 the
-    signed sum of each z-row must equal [q^h] E^-16 E(q^2)^-4.  Every
-    z-row must equal its mirror image (z <-> z^-1), which catches the slot
-    swaps that keep each sum.
+    its coefficients.  Row h passes four gates or ArithmeticError names it
+    with the values found and expected: its |coefficients| sum to that
+    value (E^-24 in z, the b = 0 run in t), in _unpack_rows; in t, its t^0
+    slot equals [q^h] E^-24; in z, it equals its mirror image (z <-> z^-1),
+    which catches the slot swaps that keep each sum; at c = -1, its signed
+    sum equals [q^h] E^-16 E(q^2)^-4.  The last three run in one pass over
+    the rows, so the lowest row that fails one of them is named.
     """
     yz = eta_power(-24, h_max).coeff_list()
     sums = _theta_packed(h_max, 1, t, 0) if t else yz
     nbytes = (max(sums).bit_length() + (c < 0) + 7) // 8
     rows = _unpack_rows(_theta_packed(h_max, c, t, 8 * nbytes), sums, nbytes, c < 0, t,
                         identity=not t)
-    if t and [row[0] for row in rows] != yz:
-        h = next(h for h, row in enumerate(rows) if row[0] != yz[h])
-        raise ArithmeticError(
-            f"theta engine: q^{h} row fails the genus-0 identity [t^0 q^h] E^-18 F^-2 = "
-            f"[q^h] E^-24: its t^0 slot holds {_int_str(rows[h][0])}, [q^{h}] E^-24 is "
-            f"{_int_str(yz[h])}"
-        )
-    for h, row in enumerate(() if t else rows):
-        if row != row[::-1]:
-            j = next(j for j in range(h) if row[j] != row[-1 - j])
-            raise ArithmeticError(f"theta engine: q^{h} row fails the mirror identity [z^j q^h] "
-                                  f"E^-18 F^-2 = [z^-j q^h] E^-18 F^-2: z^{j - h} holds "
-                                  f"{_int_str(row[j])}, z^{h - j} holds {_int_str(row[-1 - j])}")
     if c < 0:  # at z = 1, F = E(q^2)^2 / E
         e16, e4 = eta_power(-16, h_max).coeff_list(), eta_power(-4, h_max // 2).coeff_list()
-        for h, row in enumerate(rows):
-            want = sum([e16[h - 2 * k] * e4[k] for k in range(h // 2 + 1)])
-            if sum(row) != want:
-                raise ArithmeticError(f"theta engine: q^{h} row fails the c = -1 identity "
-                                      f"sum_j [z^j q^h] E^-18 F^-2 = [q^h] E^-16 E(q^2)^-4: its "
-                                      f"slots sum to {_int_str(sum(row))}, [q^{h}] E^-16 "
-                                      f"E(q^2)^-4 is {_int_str(want)}")
+    for h, row in enumerate(rows):
+        if t and row[0] != yz[h]:
+            _fail(h, "fails the genus-0 identity [t^0 q^h] E^-18 F^-2 = [q^h] E^-24",
+                  "its t^0 slot holds", row[0], f"[q^{h}] E^-24 is", yz[h])
+        if not t and row != row[::-1]:
+            j = next(j for j in range(h) if row[j] != row[-1 - j])
+            _fail(h, "fails the mirror identity [z^j q^h] E^-18 F^-2 = [z^-j q^h] E^-18 F^-2",
+                  f"z^{j - h} holds", row[j], f"z^{h - j} holds", row[-1 - j])
+        if c < 0 and sum(row) != (want := sum([e16[h - 2 * k] * e4[k]
+                                               for k in range(h // 2 + 1)])):
+            _fail(h, "fails the c = -1 identity sum_j [z^j q^h] E^-18 F^-2 = "
+                  "[q^h] E^-16 E(q^2)^-4", "its slots sum to", sum(row),
+                  f"[q^{h}] E^-16 E(q^2)^-4 is", want)
     return rows
 
 
@@ -200,13 +199,21 @@ class KkvTable(_Record):
         if not 0 <= g <= h <= self.h_max:
             raise KeyError(f"(g, h) = ({_int_str(g)}, {_int_str(h)}) lies outside "
                            f"0 <= g <= h <= {self.h_max}")
-        return self.rows[(g, h)]
+        return self._at(g, h)
 
     def genus_row(self, g: int) -> list[int]:
         """Counts r_(g,h) for h = g .. h_max."""
         if not 0 <= _as_int(g, "g") <= self.h_max:
             raise KeyError(f"g = {_int_str(g)} lies outside 0 <= g <= {self.h_max}")
-        return [self.rows[(g, h)] for h in range(g, self.h_max + 1)]
+        return [self._at(g, h) for h in range(g, self.h_max + 1)]
+
+    def _at(self, g: int, h: int) -> int:
+        """r_(g,h) of an in-range (g, h), which a hand-built table may lack."""
+        try:
+            return self.rows[(g, h)]
+        except KeyError:
+            raise KeyError(f"(g, h) = ({_int_str(g)}, {_int_str(h)}) has no entry in the "
+                           "table") from None
 
     def sorted_items(self):
         return sorted(self.rows.items(), key=lambda kv: (kv[0][1], kv[0][0]))

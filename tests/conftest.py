@@ -47,6 +47,28 @@ def eta_power_sigma(e: int, order: int) -> list[int]:
     return a
 
 
+def kkv_columns(h_max: int, g_max: int) -> list[list[int]]:
+    """Columns [t^g] of E^-18 F^-2 for g <= g_max through q^h_max, with
+    t = z - 2 + z^-1, written independently of the theta engine.
+
+    (1 - z q^n)(1 - z^-1 q^n) = (1 - q^n)^2 - t q^n, so E^-18 F^-2 =
+    E^-24 prod_n (1 - u_n)^-2 with u_n = t q^n (1 - q^n)^-2, and
+    (1 - u)^-2 = sum_k (k + 1) u^k.  E^-24 comes from the divisor-sum
+    recurrence; each u_n^k from k shifts by n and 2k stride-n running sums.
+    """
+    cols = [eta_power_sigma(-24, h_max)] + [[0] * (h_max + 1) for _ in range(g_max)]
+    for n in range(1, h_max + 1):
+        for j in range(g_max, -1, -1):  # from the top: column j is still the old one
+            v = cols[j]
+            for k in range(1, min(g_max - j, h_max // n) + 1):
+                v = [0] * n + v[:-n]
+                for _ in range(2):
+                    for i in range(n * k + n, h_max + 1):
+                        v[i] += v[i - n]
+                cols[j + k] = [a + (k + 1) * x for a, x in zip(cols[j + k], v)]
+    return cols
+
+
 @st.composite
 def trunc_series(draw, min_exp=st.integers(-5, 5), size=st.integers(0, 9),
                  coeff=st.integers(-9, 9)):

@@ -3,6 +3,7 @@ symmetric product, rational-curve counts, signed conversion identity."""
 
 import io
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,7 @@ from bpskit import cli as cli_module
 from bpskit.k3 import (KKV_FACTORS, _kkv_table, _ky_rows, _theta_packed, _theta_rows,
                        _unpack_rows)
 from bpskit.series import TruncSeries, _expand_product
+from conftest import kkv_columns
 
 YZ_HEAD = [1, 24, 324, 3200, 25650, 176256, 1073720]
 YZ_7 = 5930496  # [q^7] E^-24
@@ -444,6 +446,59 @@ class TestThetaEngine:
         out, err = capsys.readouterr()
         assert out == "" and "fails the mirror identity" in err
 
+    def test_two_faults_name_the_lower_row(self, monkeypatch):
+        # a z^1 <-> z^2 swap in the q^6 row fails the mirror gate, and E^-16
+        # bumped at q^4 fails the c = -1 gate from q^4 on: q^4 is named
+        real_rows, real_eta = _unpack_rows, eta_power
+        signed_sum = sum(_theta_rows(9, -1)[4])
+
+        def swapped(*args, **kwargs):
+            rows = real_rows(*args, **kwargs)
+            rows[6][7], rows[6][8] = rows[6][8], rows[6][7]
+            return rows
+
+        def bumped(e, order):
+            s = real_eta(e, order)
+            if e != -16:
+                return s
+            a = s.coeff_list()
+            a[4] += 1
+            return TruncSeries(0, a, order)
+
+        monkeypatch.setattr("bpskit.k3._unpack_rows", swapped)
+        monkeypatch.setattr("bpskit.k3.eta_power", bumped)
+        with pytest.raises(ArithmeticError) as info:
+            _theta_rows(9, -1)
+        assert str(info.value) == (
+            "theta engine: q^4 row fails the c = -1 identity sum_j [z^j q^h] E^-18 F^-2 = "
+            f"[q^h] E^-16 E(q^2)^-4: its slots sum to {signed_sum}, [q^4] E^-16 E(q^2)^-4 is "
+            f"{signed_sum + 1}")
+
+
+class TestKkvColumnOracle:
+    """The genus table and the z-rows against conftest.kkv_columns, which
+    expands E^-24 prod_n (1 - t q^n (1 - q^n)^-2)^-2 without the engine."""
+
+    def test_table_through_q40_matches_every_column(self):
+        cols = kkv_columns(40, 40)
+        assert _kkv_table(40).rows == {(g, h): (-1) ** g * cols[g][h]
+                                       for h in range(41) for g in range(h + 1)}
+        assert not any(cols[g][h] for g in range(41) for h in range(g))
+
+    def test_table_through_q150_matches_genus_0_to_3(self):
+        cols, table = kkv_columns(150, 3), _kkv_table(150)
+        for g, col in enumerate(cols):
+            assert table.genus_row(g) == [(-1) ** g * r for r in col[g:]]
+
+    def test_z_rows_through_q60_expand_from_the_columns(self):
+        # [z^j] t^g = (-1)^(g - j) C(2g, g + j) for t = z - 2 + z^-1
+        cols = kkv_columns(60, 60)
+        want = [LaurentPoly({j: sum((-1) ** (g - j) * comb(2 * g, g + j) * cols[g][h]
+                                    for g in range(abs(j), h + 1))
+                             for j in range(-h, h + 1)})
+                for h in range(61)]
+        assert list(kkv_product(60).rows()) == want
+
 
 class TestKkvDecompose:
     def test_spot_values(self):
@@ -520,6 +575,17 @@ class TestKkvTable:
     def test_genus_row_bounds(self, g):
         with pytest.raises(KeyError, match=rf"g = {g} lies outside 0 <= g <= 2"):
             _kkv_table(2).genus_row(g)
+
+    @pytest.mark.parametrize("lookup, g, h", [
+        (lambda: KkvTable(1, {}).value(0, 1), 0, 1),
+        (lambda: KkvTable(1, {}).genus_row(0), 0, 0),
+        (lambda: KkvTable(1, {(0, 0): 1}).genus_row(0), 0, 1)],
+        ids=["value", "genus_row-empty", "genus_row-partial"])
+    def test_missing_in_range_key_is_named(self, lookup, g, h):
+        # a hand-built table may lack a key inside 0 <= g <= h <= h_max
+        message = rf"^'\(g, h\) = \({g}, {h}\) has no entry in the table'$"
+        with pytest.raises(KeyError, match=message):
+            lookup()
 
     @pytest.mark.parametrize("args, message", [
         ((1.5, {(0, 0): 2}), "h_max must be an int, not float"),
