@@ -22,7 +22,9 @@ the span is x^c (1 + s x)^m P(u), where P(u) = sum n_r u^r is symmetric under
 x <-> 1/x, so its low half, on [x^-top, x^0], determines it.  The sum builds that
 half from rows of r + 1 terms (`series._add_binom_row`), mirrors it and multiplies
 by (1 + s x)^m.  The peel reads it off Y = x^-c (1 + s x)^-m Z and runs Horner's
-rule backwards: n_0 is P where u = 0, and (P - n_0) / u is symmetric again.  As
+rule backwards: n_0 is P where u = 0, and (P - n_0) / u is symmetric again.  On
+the half, that quotient is the double prefix sum d less its last entry, and n_r
+is read off d too: its last two entries differ by the half's sum.  As
 (1 + s x)^m starts with 1, the residual's lowest term is Z's below x^(c-top), or
 else the first nonzero Y_j - Y_-j (0 < j <= top) or Y_j (j > top), at x^(c+j).
 
@@ -49,7 +51,7 @@ class BpsVector(_Record):
 
     def _check(self):
         _as_int(self.g, "g", 0)
-        object.__setattr__(self, "n", tuple(_as_int(v) for v in self.n))
+        object.__setattr__(self, "n", tuple(map(_as_int, self.n)))
         if len(self.n) != self.g + 1:
             raise InputError(f"genus {self.g} needs {self.g + 1} entries, got {len(self.n)}")
 
@@ -124,11 +126,13 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
     if s > 0:  # x -> -x turns u into -(x^-1 - 2 + x): n_r comes out as (-1)^r n_r
         p[-2::-2] = map(neg, p[-2::-2])
     n = []
-    # n_r is P at x = 1, where u = 0; then P <- (P - n_r) / u.  Subtracting n_r would change
-    # only p[-1], which reaches only the last double prefix sum, and [:-1] drops that
+    # n_r is P at x = 1, where u = 0: 2 sum(p) - p[-1], and sum(p) = d[-1] - d[-2].  Then
+    # P <- (P - n_r) / u is d less d[-1], the only entry subtracting n_r from p[-1] would change
     for _ in range(top):
-        n.append(2 * sum(p) - p[-1])
-        p = list(accumulate(accumulate(p)))[:-1]
+        d = list(accumulate(accumulate(p)))
+        n.append(2 * (d[-1] - d[-2]) - p[-1])
+        d.pop()
+        p = d
     n.append(p[0])
     if s > 0:
         n[1::2] = map(neg, n[1::2])
@@ -164,7 +168,7 @@ def pairs_basis_element(r: int, order: int) -> TruncSeries:
 def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
     """Sum n_r * B_r, exact on the window [1 - g, order]."""
     _reach_base(order, v.g)
-    return PairsSeries(_basis_sum(v.n, order, *_PAIRS), v.g)
+    return PairsSeries._raw(_basis_sum(v.n, order, *_PAIRS), v.g)
 
 
 def _need_q1(series: TruncSeries, g: int) -> None:
@@ -184,7 +188,7 @@ def bps_decompose(Z: PairsSeries) -> BpsVector:
     _need_q1(Z.series, Z.g)
     n, first = _basis_peel(Z.series, Z.g, *_PAIRS)
     _reject_residual(first, f"genus-{Z.g}")
-    return BpsVector(Z.g, tuple(n))
+    return BpsVector._raw(Z.g, tuple(n))
 
 
 class IdentityCheck(_Record):
@@ -262,11 +266,11 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
                         if P[z + m] - P[z - m] != (m * N if m % 2 else -m * N)), None)
         fail_g0 = next((m for m in range(g, order + 1)
                         if P[z + m] != (m * N if m % 2 else -m * N)), None)
-    return GgtcReport(
+    return GgtcReport._raw(
         fail_0 is None and fail_gg is None and fail_g0 is None,
-        IdentityCheck(fail_g0 is None, fail_g0),
-        IdentityCheck(fail_gg is None, fail_gg),
-        IdentityCheck(fail_0 is None, fail_0),
+        IdentityCheck._raw(fail_g0 is None, fail_g0),
+        IdentityCheck._raw(fail_gg is None, fail_gg),
+        IdentityCheck._raw(fail_0 is None, fail_0),
         order,
         N,
     )
@@ -288,4 +292,4 @@ def hilbert_decompose(H: TruncSeries, g: int) -> BpsVector:
     _within(g + 1, H.order, f"genus-{g} Hilbert decomposition")
     n, first = _basis_peel(H, g, g, -1, -2)
     _reject_residual(first, f"genus-{g} Hilbert")
-    return BpsVector(g, tuple(n))
+    return BpsVector._raw(g, tuple(n))

@@ -49,7 +49,8 @@ class NodalCurve(_Record):
         for key, v in self.chi.items() if isinstance(self.chi, Mapping) else self.chi:
             nodes = [_as_int(i, "node") for i in key]
             S = frozenset(nodes)
-            fault = (f"names a node outside 0..{self.r - 1}" if any(i < 0 or i >= self.r for i in S)
+            fault = (f"names a node outside 0..{self.r - 1}"
+                     if S and not 0 <= min(S) <= max(S) < self.r
                      else "names a node twice" if len(S) != len(nodes)
                      else "is named by two keys" if S in norm else None)
             if fault:
@@ -151,7 +152,7 @@ def nodal_contribution(curve: NodalCurve) -> BpsVector:
     n = [0] * (g + 1)
     for S, v in curve.chi.items():
         n[g - len(S)] += v
-    return BpsVector(g, tuple((-1) ** h * v for h, v in enumerate(n)))
+    return BpsVector._raw(g, tuple((-1) ** h * v for h, v in enumerate(n)))
 
 
 def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
@@ -178,7 +179,7 @@ def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
         h = g - size  # the row is (-1)^h v q^(1-h) (1+q)^(2h-2), from acc[size]
         if v:
             _add_binom_row(acc, size, -v if h % 2 else v, 2 * h - 2, 1)
-    return PairsSeries(TruncSeries._raw(1 - g, acc, order), g)
+    return PairsSeries._raw(TruncSeries._raw(1 - g, acc, order), g)
 
 
 def q_series_decompose(germ: SingularityGerm) -> list[int]:
@@ -221,7 +222,7 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
         )
     # the signed series is dense from its constant term 1
     out = _times_binom((signed.coeff_list() + [0] * width)[:width], -e_smooth, 1)
-    return PairsSeries(TruncSeries._raw(1 - g, out, order), g)
+    return PairsSeries._raw(TruncSeries._raw(1 - g, out, order), g)
 
 
 def subsets_of_nodes(r: int):

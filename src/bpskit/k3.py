@@ -159,7 +159,7 @@ def _kkv_table(h_max: int) -> "KkvTable":
     for h, row in enumerate(_theta_rows(h_max, t=True)):
         row[1::2] = map(neg, row[1::2])
         rows.update(zip(zip(range(h + 1), repeat(h)), row))
-    return KkvTable(h_max, rows)
+    return KkvTable._raw(h_max, rows)
 
 
 def _ky_dense(h_max: int, y_order: int, c: int) -> list[list[int]]:
@@ -321,7 +321,7 @@ def ky_series(h_max: int, y_order: int) -> K3PairsSeries:
     the q^0 row is y (1-y)^-2 itself.
     """
     h_max, y_order = _as_int(h_max, "h_max", 0), _as_int(y_order, "y_order", 1)
-    return K3PairsSeries(_ky_rows(h_max, y_order, 1), y_order)
+    return K3PairsSeries._raw(_ky_rows(h_max, y_order, 1), y_order)
 
 
 def kkv_product(h_max: int) -> BiSeries:
@@ -339,7 +339,7 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
     z^-g (1-z)^(2g), g = 0..h, are symmetric and unitriangular on that
     lattice, so a residual that vanishes at exponents <= 0 vanishes.
     """
-    h_max = B.order_q
+    h_max = _as_int(B.order_q, "h_max", 0)  # an empty B has order_q = -1
     rows = {}
     for h in range(h_max + 1):
         p = B.coeff(h)
@@ -352,7 +352,7 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
         n = _basis_peel(dense, h, 0, -1, 0)[0]
         for g in range(h, -1, -1):
             rows[(g, h)] = -n[g] if g % 2 else n[g]
-    return KkvTable(h_max, rows)
+    return KkvTable._raw(h_max, rows)
 
 
 def yau_zaslow(h_max: int) -> TruncSeries:

@@ -295,7 +295,9 @@ class _Record:
     _defaults, and may validate or normalise the bound fields in _check
     (normalising through object.__setattr__).  Fields bind positionally or
     by keyword; equality (same type only) and hashing go by the field
-    tuple, so a record holding a dict is unhashable.
+    tuple, so a record holding a dict is unhashable.  Only records the
+    library builds from its own arithmetic skip _check, through _raw; the
+    constructor and every from_json run it.
     """
 
     __slots__ = ()
@@ -308,6 +310,14 @@ class _Record:
         for name, value in zip(names, args):
             _setattr(self, name, value)
         self._check()
+
+    @classmethod
+    def _raw(cls, *values):
+        """The record of values, in field order, taken as is."""
+        rec = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _setattr(rec, name, value)
+        return rec
 
     @classmethod
     def _bind(cls, args, kwargs) -> list:

@@ -267,6 +267,16 @@ def _decompose_by_rows(Z, top, c, s, m, basis):
 @example(((3, -1, -2), 3, [1, 2, 3, 4], -1, TruncSeries(-2, [5, 0, 0, 0, 0, 0, 0], 4)))
 @example(((2, 1, -10), 2, [0, 0, 1], 0, TruncSeries(0, [1, 0, 1, 9], 3)))
 @example(((0, -1, 0), 2, [1, 0, 0], 2, TruncSeries(-2, [1, 2, 3, 4, 5], 2)))
+# top = 1, one pass of the peel's loop, for each basis: in the span and off it
+@example(((1, 1, -2), 1, [3, -5], 2, basis_sum_by_rows([3, -5], 4, 1, 1, -2)))
+@example(((1, -1, -2), 1, [2, 7], 3, basis_sum_by_rows([2, 7], 4, 1, -1, -2)))
+@example(((1, 1, -5), 1, [4, -1], 2, TruncSeries(0, [1, -1, 2, -3, 5], 4)))
+@example(((0, -1, 0), 1, [6, 1], 1, TruncSeries(-1, [1, 4, 1, 0], 2)))
+# top = 40, past the largest genus of perfbench's bps-batch
+@example(((1, 1, -2), 40, [(-1) ** r * (r + 1) * 10 ** (2 * r) for r in range(41)], 55,
+          basis_sum_by_rows([(-1) ** r * (r + 1) * 10 ** (2 * r) for r in range(41)], 55,
+                            1, 1, -2)))
+@example(((0, -1, 0), 40, [7] * 41, 40, TruncSeries(-40, list(range(1, 82)), 40)))
 def test_basis_sum_and_peel_match_the_rows(case):
     (c, s, m), top, n, order, Z = case
     assert _basis_sum(n, order, c, s, m) == basis_sum_by_rows(n, order, c, s, m)
