@@ -21,7 +21,8 @@ As (1 + s x)^2 = x u with u = x^-1 + 2s + x, element r is x^c (1 + s x)^m u^r:
 the span is x^c (1 + s x)^m P(u), where P(u) = sum n_r u^r is symmetric under
 x <-> 1/x, so its low half, on [x^-top, x^0], determines it.  The sum builds that
 half from rows of r + 1 terms (`series._add_binom_row`), mirrors it and multiplies
-by (1 + s x)^m.  The peel reads it off Y = x^-c (1 + s x)^-m Z and runs Horner's
+by (1 + s x)^m.  The peel reads Z on [x^(c-top), order] in one TruncSeries._span,
+zeros below its lowest term, reads P off Y = x^-c (1 + s x)^-m Z and runs Horner's
 rule backwards: n_0 is P where u = 0, and (P - n_0) / u is symmetric again.  On
 the half, that quotient is the double prefix sum d less its last entry, and n_r
 is read off d too: its last two entries differ by the half's sum.  As
@@ -38,8 +39,8 @@ from itertools import accumulate
 from operator import neg, sub
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _json_int, _json_ints,
-                     _Record, _times_binom, _within)
+from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _int_str, _json_int,
+                     _json_ints, _Record, _times_binom, _within)
 
 
 class BpsVector(_Record):
@@ -79,6 +80,7 @@ class PairsSeries(_Record):
     g: int
 
     def _check(self):
+        _as_type(self.series, TruncSeries, "series")
         _as_int(self.g, "g", 0)
 
     def to_json(self) -> dict:
@@ -117,11 +119,9 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
     closes.  The window must reach c.
     """
     lo = series.min_exp
-    cs = series.coeff_list()
     if lo > c:  # nothing at or below x^c: every n_r is 0 and the series is the residual
-        return [0] * (top + 1), (lo, cs[0]) if cs else None
-    k = c - top - lo  # terms below x^(c-top) pass to the residual untouched
-    y = _times_binom(cs[k:] if k > 0 else [0] * -k + cs, -m, s)  # Y over [-top, order - c]
+        return [0] * (top + 1), None if series.is_zero else (lo, series.coeff(lo))
+    y = _times_binom(series._span(c - top, series.order), -m, s)  # Y over [-top, order - c]
     p = y[:top + 1]  # P(u) must equal Y on [-top, 0]
     if s > 0:  # x -> -x turns u into -(x^-1 - 2 + x): n_r comes out as (-1)^r n_r
         p[-2::-2] = map(neg, p[-2::-2])
@@ -138,8 +138,8 @@ def _basis_peel(series: TruncSeries, top: int, c: int, s: int, m: int):
         n[1::2] = map(neg, n[1::2])
     hi = y[top + 1:]  # above x^0, Y - P with P_j = Y_-j
     d = list(map(sub, hi, y[top - 1::-1] if top else ())) + hi[top:]
-    if k > 0 and cs:  # the lowest term lies below every basis element
-        return n, (lo, cs[0])
+    if lo < c - top:  # the lowest term lies below every basis element
+        return n, (lo, series.coeff(lo))
     j = next((j for j, v in enumerate(d) if v), None)
     return n, None if j is None else (c + 1 + j, d[j])
 
@@ -199,6 +199,11 @@ class IdentityCheck(_Record):
     passed: bool
     first_fail_exponent: int | None
 
+    def _check(self):
+        _as_type(self.passed, bool, "passed")
+        if self.first_fail_exponent is not None:
+            _as_int(self.first_fail_exponent, "first_fail_exponent")
+
     def to_json(self) -> dict:
         return {"pass": self.passed, "first_fail_exponent": self.first_fail_exponent}
 
@@ -218,6 +223,12 @@ class GgtcReport(_Record):
     identity_0: IdentityCheck
     checked_order: int
     n0: int
+
+    def _check(self):
+        _as_type(self.passed, bool, "passed")
+        for name in ("identity_g0", "identity_gg", "identity_0"):
+            _as_type(getattr(self, name), IdentityCheck, name)
+        _as_int(self.checked_order, "checked_order"), _as_int(self.n0, "n0")
 
     def to_json(self) -> dict:
         return {
@@ -256,9 +267,8 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
     if lo > max(g, 1):  # nothing at or below q^g: N = 0, and identity_g0 fails at q^lo
         N, fail_0, fail_gg, fail_g0 = 0, None, None, None if s.is_zero else lo
     else:
-        base = min(lo, -max(top, 1))
-        P = [0] * (lo - base) + s.coeff_list()  # P[z + n] is P_n on [base, order]
-        z = -base
+        z = max(top, 1)
+        P = s._span(-z, order)  # P[z + n] is P_n on [-z, order]
         N = P[z + 1] - P[z - 1] if g >= 2 else P[z + 1]
 
         fail_0 = lo if lo <= -g else None  # lo is the lowest nonzero exponent

@@ -20,6 +20,7 @@ exits 2 with a usage line and an error line.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 
@@ -531,6 +532,10 @@ def main():
     """The console script and `python -m bpskit`: run(), flush, then end
     the process without tearing the interpreter down.  _Out has closed
     any --out file, and bpskit registers no atexit handler."""
+    out = sys.stdout
+    if type(getattr(out, "buffer", None)) is io.FileIO:  # python -u: a text layer on the
+        # file takes a partial write (the reader gone mid-write) for a whole one and exits 0
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors)
     code = run()
     try:
         if sys.stdout is not None:  # None when the process started without fd 1

@@ -220,8 +220,7 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
             f"pairs series to q^{_int_str(order)} needs the punctual series exact through "
             f"q^{_int_str(order + g - 1)}; window stops at q^{_int_str(signed.order)}"
         )
-    # the signed series is dense from its constant term 1
-    out = _times_binom((signed.coeff_list() + [0] * width)[:width], -e_smooth, 1)
+    out = _times_binom(signed._span(0, width - 1), -e_smooth, 1)
     return PairsSeries._raw(TruncSeries._raw(1 - g, out, order), g)
 
 

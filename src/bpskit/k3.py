@@ -36,9 +36,9 @@ from operator import neg
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError
-from .series import (BiSeries, LaurentPoly, TruncSeries, _as_int, _int_str, _int_strs, _json_int,
-                     _Record, _times_binom, _unpack, _write_csv, _write_lines, _within,
-                     eta_power)
+from .series import (BiSeries, LaurentPoly, TruncSeries, _as_int, _as_type, _int_str, _int_strs,
+                     _json_int, _Record, _times_binom, _unpack, _write_csv, _write_lines,
+                     _within, eta_power)
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -348,7 +348,7 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
         if p and p.max_exp > h:
             raise AsymmetricInput(f"q^{h} coefficient has z-support up to "
                                   f"{_int_str(p.max_exp)}, beyond [{-h}, {h}]")
-        dense = TruncSeries._raw(-h, [p.coeff(e) for e in range(-h, h + 1)], h)
+        dense = TruncSeries._raw(-h, p._span(-h, h), h)
         n = _basis_peel(dense, h, 0, -1, 0)[0]
         for g in range(h, -1, -1):
             rows[(g, h)] = -n[g] if g % 2 else n[g]
@@ -369,6 +369,13 @@ class SignedCheckReport(_Record):
     first_mismatch: tuple[int, int] | None
     h_max: int
     y_order: int
+
+    def _check(self):
+        _as_type(self.passed, bool, "passed")
+        if self.first_mismatch is not None:
+            for x in _as_type(self.first_mismatch, tuple, "first_mismatch"):
+                _as_int(x, "first_mismatch entry")
+        _as_int(self.h_max, "h_max"), _as_int(self.y_order, "y_order")
 
     def to_json(self) -> dict:
         return {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Mapping
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import add, neg, sub
 
 from . import kernels
@@ -36,6 +36,13 @@ def _as_int(x, what="coefficient", least=None):
             raise InputError(f"{what} must be " + (f"at least {least}" if least else "non-negative"))
         if x > sys.maxsize:
             raise PreconditionError(f"{what} {_int_str(x)} is past sys.maxsize: no list is that long")
+    return x
+
+
+def _as_type(x, cls, what):
+    """x if it is a cls; TypeError naming what otherwise."""
+    if not isinstance(x, cls):
+        raise TypeError(f"{what} must be {cls.__name__}, not {type(x).__name__}")
     return x
 
 
@@ -400,6 +407,10 @@ class LaurentPoly:
         """The polynomial sum coeffs[i] x^(lo + i)."""
         return cls._raw(dict(zip(range(lo, lo + len(coeffs)), coeffs)))
 
+    def _span(self, lo: int, hi: int) -> list:
+        """The coefficients of x^lo .. x^hi, the read-side twin of _dense."""
+        return list(map(self._terms.get, range(lo, hi + 1), repeat(0)))
+
     def coeff(self, e: int) -> int:
         return self._terms.get(_as_int(e, "exponent"), 0)
 
@@ -553,19 +564,17 @@ class TruncSeries:
         The caller asserts exactness: exponents not listed are zero on the
         whole window.
         """
-        nz = LaurentPoly(terms)._terms
-        if order is None and not nz:
+        p = LaurentPoly(terms)
+        if order is None and not p:
             raise InputError("an all-zero series needs an explicit order")
-        order = max(nz) if order is None else _as_int(order, "order")
-        if nz and (top := max(nz)) > order:
+        order = p.max_exp if order is None else _as_int(order, "order")
+        if p and (top := p.max_exp) > order:
             raise InputError(f"term at exponent {_int_str(top)} lies above order {_int_str(order)}")
-        lo = min(nz) if nz else order + 1
+        lo = p.min_exp if p else order + 1
         if min_exp is not None:
             lo = min(lo, _as_int(min_exp, "min_exp"))
-        coeffs = [0] * _as_int(order - lo + 1, "window length", 0)
-        for e, c in nz.items():
-            coeffs[e - lo] = c
-        return cls(lo, coeffs, order)
+        _as_int(order - lo + 1, "window length", 0)
+        return cls._raw(lo, p._span(lo, order), order)
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
@@ -586,6 +595,14 @@ class TruncSeries:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
+
+    def _span(self, lo: int, hi: int) -> list:
+        """The coefficients of q^lo .. q^hi, zeros below min_exp: the one dense
+        read of a window, the read-side twin of _raw.  hi must not exceed order."""
+        i, j = lo - self._min, hi + 1 - self._min
+        if i >= 0:
+            return list(self._coeffs[i:j])
+        return [0] * min(-i, hi - lo + 1) + list(self._coeffs[:max(j, 0)])
 
     def coeff(self, n: int) -> int:
         """Exact coefficient of q**n; n may lie anywhere at or below order."""
@@ -620,14 +637,8 @@ class TruncSeries:
             return NotImplemented
         lo = min(self._min, other._min)
         order = min(self._order, other._order)
-        out = [0] * (order - lo + 1)
-        for src in (self, other):
-            for i, c in enumerate(src._coeffs):
-                e = src._min + i
-                if e > order:
-                    break
-                out[e - lo] += c
-        return TruncSeries._raw(lo, out, order)
+        return TruncSeries._raw(lo, list(map(add, self._span(lo, order), other._span(lo, order))),
+                                order)
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
@@ -659,13 +670,14 @@ class TruncSeries:
 
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order` (which must not exceed self.order)."""
-        _within(order, self._order, "truncation")
-        keep = list(self._coeffs[: max(0, order - self._min + 1)])
-        return TruncSeries._raw(min(self._min, order + 1), keep, order)
+        lo = min(self._min, _within(order, self._order, "truncation") + 1)
+        return TruncSeries._raw(lo, self._span(lo, order), order)
 
     def negate_q(self) -> "TruncSeries":
         """Substitute q -> -q."""
-        out = [(-c if (self._min + i) % 2 else c) for i, c in enumerate(self._coeffs)]
+        out = list(self._coeffs)
+        s = (self._min + 1) % 2  # the slots of odd exponent
+        out[s::2] = map(neg, out[s::2])
         return TruncSeries._raw(self._min, out, self._order)
 
     def inverse(self, order: int) -> "TruncSeries":

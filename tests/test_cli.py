@@ -682,6 +682,34 @@ class TestOutputFailures:
         proc.stderr.close()
         self._assert_io_error(proc.wait(timeout=60), err)
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_closing_the_pipe_mid_write(self, unbuffered):
+        # the reader goes while the writer is blocked inside its one write of
+        # the rows: the kernel returns the part written, which a text layer
+        # straight over the file (PYTHONUNBUFFERED) takes for the whole write
+        # unless a buffered writer sits between them
+        import array
+        import fcntl
+        import termios
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bpskit", "k3", "yz", "--hmax", "2000", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),  # "" leaves it unset
+        )
+        fd = proc.stdout.fileno()
+        capacity = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+        assert 4 * capacity < 297950, "the output would not fill the pipe many times over"
+        assert os.read(fd, 7) == b"h,r_0h\n"
+        pending = array.array("i", [0])
+        while pending[0] < capacity // 2 and proc.poll() is None:  # until the rows flow
+            time.sleep(0.01)
+            fcntl.ioctl(fd, termios.FIONREAD, pending)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        self._assert_io_error(proc.wait(timeout=60), err)
+
     def test_pipe_without_a_reader(self):
         # the short output fails at the final flush, still inside run()
         r, w = os.pipe()

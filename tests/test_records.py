@@ -129,6 +129,28 @@ def test_bad_arguments_are_type_errors(call):
         call()
 
 
+@pytest.mark.parametrize("call,field", [
+    (lambda: PairsSeries([1, 2], 3), "series"),
+    (lambda: GgtcReport(1.5, 2, 3, 4, 5.0, True), "passed"),
+    (lambda: GgtcReport(True, OK, 2, OK, 4, 1), "identity_gg"),
+    (lambda: GgtcReport(True, OK, OK, OK, 4.0, 1), "checked_order"),
+    (lambda: GgtcReport(True, OK, OK, OK, 4, None), "n0"),
+    (lambda: IdentityCheck(1), "passed"),
+    (lambda: IdentityCheck(False, 3.0), "first_fail_exponent"),
+    (lambda: SignedCheckReport(None, None, 3, 5), "passed"),
+    (lambda: SignedCheckReport(False, [1, 2], 3, 5), "first_mismatch"),
+    (lambda: SignedCheckReport(False, (1, True), 3, 5), "first_mismatch"),
+    (lambda: SignedCheckReport(True, None, 3.0, 5), "h_max"),
+    (lambda: SignedCheckReport(True, None, 3, "5"), "y_order"),
+], ids=["pairs-series", "ggtc-passed", "ggtc-identity", "ggtc-order", "ggtc-n0",
+        "identity-passed", "identity-exponent", "signed-passed", "signed-list",
+        "signed-entry", "signed-h_max", "signed-y_order"])
+def test_a_bad_field_fails_at_construction(call, field):
+    # at construction, not later with an AttributeError in bps_decompose or to_json
+    with pytest.raises(TypeError, match=f"^{field}"):
+        call()
+
+
 def test_repr_past_the_digit_cap():
     big = 10 ** 5000
     digits = "1" + "0" * 5000

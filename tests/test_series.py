@@ -143,6 +143,15 @@ class TestLaurentPoly:
             assert got._terms == naive(terms)
 
 
+@st.composite
+def spans(draw):
+    """A series and a window [lo, hi] that may start below min_exp, with
+    hi <= order and lo <= hi + 1."""
+    s = draw(trunc_series())
+    hi = draw(st.integers(s.order - 12, s.order))
+    return s, draw(st.integers(hi - 12, hi + 1)), hi
+
+
 class TestTruncSeries:
     def test_window_reporting(self):
         s = TruncSeries.from_terms({-1: 1, 0: 2, 1: 1}, order=5)
@@ -176,6 +185,14 @@ class TestTruncSeries:
         out = series_arith(a, b, "add")
         assert (out.min_exp, out.order) == (-2, 5)
         assert out.coeff(-2) == 3 and out.coeff(0) == 1
+        # windows that do not overlap: the lower operand's order ends the sum,
+        # so it reads the higher operand as zeros, past a gap or not
+        for low, high in ((TruncSeries(-8, [4, 0, 7]), TruncSeries(0, [1, 2, 3])),
+                          (TruncSeries(0, [1, 2]), TruncSeries(4, [5, 0])),
+                          (TruncSeries(0, [1, 2]), TruncSeries(2, [5]))):
+            assert low + high == high + low == low
+        out = TruncSeries.zero(-3) + TruncSeries(0, [1], 0)  # the empty window [-2, -3]
+        assert (out.min_exp, out.order, out.is_zero) == (-2, -3, True)
 
     def test_mul_window_rule(self):
         a = TruncSeries.from_terms({0: 1, 1: 1}, order=5)   # 1 + q
@@ -199,6 +216,20 @@ class TestTruncSeries:
         assert (t.min_exp, t.order) == (0, 2)
         with pytest.raises(InsufficientWindow):
             s.truncate(7)
+
+    @given(spans())
+    @example((TruncSeries.zero(3), 2, 3))  # the zero series: min_exp == order + 1
+    @example((TruncSeries(0, [1, 2], 1), -3, 1))  # lo below min_exp
+    @example((TruncSeries(2, [1, 2], 3), -4, 0))  # hi below min_exp
+    @example((TruncSeries(2, [1, 2], 3), -4, 1))  # hi just below min_exp
+    @example((TruncSeries(0, [1, 2], 1), 1, 0))  # the empty window lo == hi + 1
+    @example((TruncSeries(-5, [1, 0, 3], -3), -7, -4))  # negative exponents
+    def test_span_matches_a_dict_read(self, case):
+        s, lo, hi = case
+        terms = dict(s.items())
+        want = [terms.get(e, 0) for e in range(lo, hi + 1)]
+        assert s._span(lo, hi) == want
+        assert LaurentPoly(terms)._span(lo, hi) == want
 
     def test_shift_and_scale(self):
         s = TruncSeries.from_terms({1: 2}, order=3)
