@@ -203,6 +203,8 @@ class IdentityCheck(_Record):
         _as_type(self.passed, bool, "passed")
         if self.first_fail_exponent is not None:
             _as_int(self.first_fail_exponent, "first_fail_exponent")
+        if self.passed != (self.first_fail_exponent is None):
+            raise InputError("passed must be True exactly when first_fail_exponent is None")
 
     def to_json(self) -> dict:
         return {"pass": self.passed, "first_fail_exponent": self.first_fail_exponent}
@@ -226,9 +228,12 @@ class GgtcReport(_Record):
 
     def _check(self):
         _as_type(self.passed, bool, "passed")
-        for name in ("identity_g0", "identity_gg", "identity_0"):
-            _as_type(getattr(self, name), IdentityCheck, name)
+        checks = [_as_type(getattr(self, name), IdentityCheck, name)
+                  for name in ("identity_g0", "identity_gg", "identity_0")]
         _as_int(self.checked_order, "checked_order"), _as_int(self.n0, "n0")
+        if self.passed != all(check.passed for check in checks):
+            raise InputError("passed must be True exactly when identity_g0, identity_gg and "
+                             "identity_0 all passed")
 
     def to_json(self) -> dict:
         return {

@@ -1,9 +1,9 @@
 """Local BPS contributions of individual curves.
 
-Covers nonsingular curves, curves with any number of nodes (via Euler
-characteristics of pair moduli restricted to the partial normalisations),
-and planar singularity germs described by the Euler characteristics of
-their punctual quotient schemes.
+Covers curves with any number of nodes (via Euler characteristics of pair
+moduli restricted to the partial normalisations; a nonsingular curve is
+the one with no nodes) and planar singularity germs described by the
+Euler characteristics of their punctual quotient schemes.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from collections.abc import Mapping
 from itertools import combinations
 from math import comb
 
-from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual, pairs_basis_element
+from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import (TruncSeries, _add_binom_row, _as_int, _int_str, _int_strs, _json_int,
-                     _Record, _times_binom, _within, q_negate)
+from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _int_str, _int_strs,
+                     _json_int, _Record, _times_binom, _within, q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -88,6 +88,7 @@ class SingularityGerm(_Record):
     def _check(self):
         _as_int(self.delta, "delta", 0)
         _as_int(self.mu, "mu")
+        _as_type(self.q_euler, TruncSeries, "q_euler")
         if self.q_euler.min_exp != 0 or self.q_euler.coeff(0) != 1:
             raise InputError("the punctual series must start with constant term 1")
 
@@ -129,16 +130,13 @@ def milnor_from_geometry(g: int, e_smooth: int) -> int:
 def nonsingular_contribution(g: int, chi: int, order: int) -> tuple[BpsVector, PairsSeries]:
     """Contribution of a nonsingular genus-g curve with pair-moduli weight chi.
 
-    Only the top genus contributes: n_g = (-1)^g chi, with pairs series
-    (-1)^g chi q^(1-g) (1+q)^(2g-2).
+    It is the nodal curve with no nodes: only the top genus contributes,
+    n_g = (-1)^g chi, with pairs series (-1)^g chi q^(1-g) (1+q)^(2g-2).
     """
     g = _as_int(g, "g", 0)
     _reach_base(order, g)
-    top = (-1) ** g * _as_int(chi, "chi")
-    n = [0] * (g + 1)
-    n[g] = top
-    series = pairs_basis_element(g, order).scale(top) if top else TruncSeries.zero(order)
-    return BpsVector(g, tuple(n)), PairsSeries(series, g)
+    curve = NodalCurve._raw(g, 0, {frozenset(): _as_int(chi, "chi")})
+    return nodal_contribution(curve), nodal_pairs_series(curve, order)
 
 
 def nodal_contribution(curve: NodalCurve) -> BpsVector:

@@ -22,7 +22,7 @@ The genus table comes from the same engine on rows in
 t = z - 2 + z^-1, where r_(g,h) = (-1)^g [t^g q^h]: no peel runs.  Its
 slot bound is the same code run with b = 0 (at t = 1), and its t^0 slot
 is the value at z = 1, so the genus-0 column is checked against E^-24.
-`kkv_decompose` remains the public peel for an arbitrary product.
+`kkv_decompose`, the public peel of any product, shares `_genus_table`.
 The pair counts and the alternating product of the signed check are
 the z-rows times y (1-y)^-2 and y (1+y)^-2, which is a shift and two
 running sums.
@@ -152,14 +152,18 @@ def _theta_rows(h_max: int, c: int = 1, t: bool = False) -> list[list[int]]:
     return rows
 
 
+def _genus_table(vectors: list) -> "KkvTable":
+    """The table r_(g,h) = (-1)^g n_g, in (h, g) order, of genus vectors n_0 .. n_h, h = 0, 1, .."""
+    rows = {}
+    for h, n in enumerate(vectors):
+        n[1::2] = map(neg, n[1::2])
+        rows.update(zip(zip(range(h + 1), repeat(h)), n))
+    return KkvTable._raw(len(vectors) - 1, rows)
+
+
 def _kkv_table(h_max: int) -> "KkvTable":
     """Genus table r_(g,h) = (-1)^g [t^g q^h] E^-18 F^-2 through q^h_max."""
-    h_max = _as_int(h_max, "h_max", 0)
-    rows = {}
-    for h, row in enumerate(_theta_rows(h_max, t=True)):
-        row[1::2] = map(neg, row[1::2])
-        rows.update(zip(zip(range(h + 1), repeat(h)), row))
-    return KkvTable._raw(h_max, rows)
+    return _genus_table(_theta_rows(_as_int(h_max, "h_max", 0), t=True))
 
 
 def _ky_dense(h_max: int, y_order: int, c: int) -> list[list[int]]:
@@ -339,20 +343,16 @@ def kkv_decompose(B: BiSeries) -> KkvTable:
     z^-g (1-z)^(2g), g = 0..h, are symmetric and unitriangular on that
     lattice, so a residual that vanishes at exponents <= 0 vanishes.
     """
-    h_max = _as_int(B.order_q, "h_max", 0)  # an empty B has order_q = -1
-    rows = {}
-    for h in range(h_max + 1):
+    vectors = []
+    for h in range(_as_int(B.order_q, "h_max", 0) + 1):  # an empty B has order_q = -1
         p = B.coeff(h)
         if not p.is_symmetric():
             raise AsymmetricInput(f"q^{h} coefficient is not z <-> z^-1 symmetric")
         if p and p.max_exp > h:
             raise AsymmetricInput(f"q^{h} coefficient has z-support up to "
                                   f"{_int_str(p.max_exp)}, beyond [{-h}, {h}]")
-        dense = TruncSeries._raw(-h, p._span(-h, h), h)
-        n = _basis_peel(dense, h, 0, -1, 0)[0]
-        for g in range(h, -1, -1):
-            rows[(g, h)] = -n[g] if g % 2 else n[g]
-    return KkvTable._raw(h_max, rows)
+        vectors.append(_basis_peel(TruncSeries._raw(-h, p._span(-h, h), h), h, 0, -1, 0)[0])
+    return _genus_table(vectors)
 
 
 def yau_zaslow(h_max: int) -> TruncSeries:
@@ -376,6 +376,8 @@ class SignedCheckReport(_Record):
             for x in _as_type(self.first_mismatch, tuple, "first_mismatch"):
                 _as_int(x, "first_mismatch entry")
         _as_int(self.h_max, "h_max"), _as_int(self.y_order, "y_order")
+        if self.passed != (self.first_mismatch is None):
+            raise InputError("passed must be True exactly when first_mismatch is None")
 
     def to_json(self) -> dict:
         return {

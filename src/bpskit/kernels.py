@@ -12,7 +12,7 @@ declares its per-layer metrics.
 
 
 def mul_trunc(a, b, n):
-    """First n coefficients of the convolution of coefficient lists a and b."""
+    """First n coefficients of the convolution of coefficient sequences a and b."""
     out = [0] * n
     nb = len(b)
     for i, ai in enumerate(a[:n]):

@@ -650,13 +650,11 @@ class TruncSeries:
             return NotImplemented
         lo = self._min + other._min
         order = min(self._order + other._min, other._order + self._min)
-        out = kernels.mul_trunc(list(self._coeffs), list(other._coeffs), order - lo + 1)
+        out = kernels.mul_trunc(self._coeffs, other._coeffs, order - lo + 1)
         return TruncSeries._raw(lo, out, order)
 
     def scale(self, c: int) -> "TruncSeries":
         c = _as_int(c)
-        if not c:
-            return TruncSeries.zero(self._order)
         return TruncSeries._raw(self._min, [c * v for v in self._coeffs], self._order)
 
     def shift(self, k: int) -> "TruncSeries":
@@ -703,7 +701,7 @@ class TruncSeries:
         if order < -v:
             raise InsufficientWindow(f"requested order {_int_str(order)} lies below the "
                                      f"inverse's leading exponent {_int_str(-v)}")
-        out = kernels.inverse_unit(list(self._coeffs), order + v + 1)
+        out = kernels.inverse_unit(self._coeffs, order + v + 1)
         return TruncSeries._raw(-v, out, order)
 
     def __repr__(self):

@@ -28,6 +28,7 @@ from bpskit import (
     milnor_from_geometry,
     nodal_contribution,
     nodal_pairs_series,
+    nonsingular_contribution,
     stratify_pairs_series,
     subsets_of_nodes,
     validate_ggtc,
@@ -102,6 +103,13 @@ def test_nodal_results_rebuild(case):
     curve, order = case
     assert_rebuilds(nodal_contribution(curve))
     assert_rebuilds(nodal_pairs_series(curve, order))
+
+
+@given(genus, st.just(0) | entry, reach)
+@settings(max_examples=40, deadline=None)
+def test_nonsingular_results_rebuild(g, chi, k):
+    for rec in nonsingular_contribution(g, chi, g + k):
+        assert_rebuilds(rec)
 
 
 @st.composite

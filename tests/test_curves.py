@@ -5,7 +5,7 @@ import time
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bpskit import (
@@ -78,10 +78,23 @@ class TestNonsingular:
         v, _ = nonsingular_contribution(3, 2, 4)
         assert v[3] == -2
 
-    def test_series_agrees_with_recomposition(self):
-        for g, chi in [(0, 7), (1, -2), (4, 3)]:
-            v, Z = nonsingular_contribution(g, chi, 9)
-            assert Z.series == bps_recompose(v, 9).series
+    @given(st.integers(0, 30).flatmap(lambda g: st.tuples(st.just(g), st.integers(1 - g, g + 15))),
+           st.integers(-10 ** 40 + 1, 10 ** 40 - 1))
+    @settings(max_examples=200, deadline=None)
+    @example((0, 9), 7)
+    @example((1, 9), -2)
+    @example((4, 9), 3)
+    @example((3, -2), 0)
+    @example((30, -29), -10 ** 40 + 1)
+    @example((29, 44), 10 ** 40 - 1)
+    def test_series_agrees_with_recomposition(self, g_order, chi):
+        # the no-node nodal route against the vector written out and the
+        # pairs-basis sum of bps_recompose, an independent route
+        g, order = g_order
+        v, Z = nonsingular_contribution(g, chi, order)
+        want = BpsVector(g, (0,) * g + ((-1) ** g * chi,))
+        assert v == want
+        assert Z == bps_recompose(want, order)
 
     def test_zero_weight(self):
         v, Z = nonsingular_contribution(3, 0, 5)

@@ -326,8 +326,10 @@ class TestThetaEngine:
     def test_t_rows_match_peel(self, oracle):
         want = kkv_decompose(oracle).rows
         for h in range(self.ORDER + 1):
-            got = _kkv_table(h).rows
-            assert got == {(g, k): r for (g, k), r in want.items() if k <= h}
+            got = _kkv_table(h)
+            assert got.rows == {(g, k): r for (g, k), r in want.items() if k <= h}
+            # one table function: the same keys in the same order, so the same repr
+            assert repr(got) == repr(kkv_decompose(kkv_product(h)))
 
     @pytest.mark.parametrize("h_max, y_order", [(0, 1), (3, 1), (6, 4), (12, 30), (20, 97)])
     def test_pair_rows_match_factorwise_route(self, h_max, y_order):

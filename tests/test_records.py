@@ -15,6 +15,7 @@ import bpskit
 from bpskit import (
     BpsVector,
     GgtcReport,
+    InputError,
     K3PairsSeries,
     KkvTable,
     LaurentPoly,
@@ -131,6 +132,7 @@ def test_bad_arguments_are_type_errors(call):
 
 @pytest.mark.parametrize("call,field", [
     (lambda: PairsSeries([1, 2], 3), "series"),
+    (lambda: SingularityGerm(1, 0, [1, 2]), "q_euler"),
     (lambda: GgtcReport(1.5, 2, 3, 4, 5.0, True), "passed"),
     (lambda: GgtcReport(True, OK, 2, OK, 4, 1), "identity_gg"),
     (lambda: GgtcReport(True, OK, OK, OK, 4.0, 1), "checked_order"),
@@ -142,12 +144,29 @@ def test_bad_arguments_are_type_errors(call):
     (lambda: SignedCheckReport(False, (1, True), 3, 5), "first_mismatch"),
     (lambda: SignedCheckReport(True, None, 3.0, 5), "h_max"),
     (lambda: SignedCheckReport(True, None, 3, "5"), "y_order"),
-], ids=["pairs-series", "ggtc-passed", "ggtc-identity", "ggtc-order", "ggtc-n0",
+], ids=["pairs-series", "germ-series", "ggtc-passed", "ggtc-identity", "ggtc-order", "ggtc-n0",
         "identity-passed", "identity-exponent", "signed-passed", "signed-list",
         "signed-entry", "signed-h_max", "signed-y_order"])
 def test_a_bad_field_fails_at_construction(call, field):
     # at construction, not later with an AttributeError in bps_decompose or to_json
     with pytest.raises(TypeError, match=f"^{field}"):
+        call()
+
+
+@pytest.mark.parametrize("call,fields", [
+    (lambda: IdentityCheck(True, 3), "first_fail_exponent"),
+    (lambda: IdentityCheck(False), "first_fail_exponent"),
+    (lambda: SignedCheckReport(True, (1, 2), 3, 5), "first_mismatch"),
+    (lambda: SignedCheckReport(False, None, 3, 5), "first_mismatch"),
+    (lambda: GgtcReport(True, OK, IdentityCheck(False, 2), OK, 4, 1),
+     "identity_g0, identity_gg and identity_0"),
+    (lambda: GgtcReport(False, OK, OK, OK, 4, 1), "identity_g0, identity_gg and identity_0"),
+], ids=["identity-passed-with-failure", "identity-failed-without-one",
+        "signed-passed-with-mismatch", "signed-failed-without-one",
+        "ggtc-passed-with-failed-identity", "ggtc-failed-with-all-passed"])
+def test_a_report_cannot_contradict_itself(call, fields):
+    # to_json would write "pass": true next to a failure, or false next to none
+    with pytest.raises(InputError, match=f"^passed must be True exactly when {fields}"):
         call()
 
 
