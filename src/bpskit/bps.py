@@ -39,8 +39,8 @@ from itertools import accumulate
 from operator import neg, sub
 
 from .errors import InputError, InsufficientWindow, NotBpsForm
-from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _int_str, _json_int,
-                     _json_ints, _Record, _times_binom, _within)
+from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _fields, _int_str,
+                     _json_int, _json_ints, _Record, _times_binom, _within)
 
 
 class BpsVector(_Record):
@@ -66,10 +66,8 @@ class BpsVector(_Record):
 
     @classmethod
     def from_json(cls, obj) -> "BpsVector":
-        try:
-            return cls(_json_int(obj["g"], "g"), _json_ints(obj["n"], "n entry"))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad BPS vector JSON: {exc}") from None
+        g, n = _fields(obj, "BPS vector", "g", "n")
+        return cls(_json_int(g, "g"), _json_ints(n, "n entry"))
 
 
 class PairsSeries(_Record):
@@ -88,10 +86,8 @@ class PairsSeries(_Record):
 
     @classmethod
     def from_json(cls, obj) -> "PairsSeries":
-        try:
-            return cls(TruncSeries.from_json(obj["series"]), _json_int(obj["g"], "g"))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad pairs-series JSON: {exc}") from None
+        series, g = _fields(obj, "pairs-series", "series", "g")
+        return cls(TruncSeries.from_json(series), _json_int(g, "g"))
 
 
 _PAIRS = (1, 1, -2)  # (c, s, m) of the pairs basis

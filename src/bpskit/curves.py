@@ -14,8 +14,8 @@ from math import comb
 
 from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _int_str, _int_strs,
-                     _json_int, _Record, _times_binom, _within, q_negate)
+from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _fields, _int_str,
+                     _int_strs, _json_int, _quote, _Record, _times_binom, _within, q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -66,13 +66,12 @@ class NodalCurve(_Record):
 
     @classmethod
     def from_json(cls, obj) -> "NodalCurve":
-        try:
-            g, r = _json_int(obj["g"], "g"), _json_int(obj["r"], "r")
-            chi = [([_json_int(t, "node") for t in key.split(",")] if key else [],
-                    _json_int(v, "weight")) for key, v in obj["chi"].items()]
-            return cls(g, r, chi)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise InputError(f"bad nodal-curve JSON: {exc}") from None
+        g, r, chi = _fields(obj, "nodal-curve", "g", "r", "chi")
+        g, r = _json_int(g, "g"), _json_int(r, "r")
+        if not isinstance(chi, dict):
+            raise InputError(f"bad nodal-curve JSON: chi must be an object, not {_quote(chi)}")
+        return cls(g, r, [([_json_int(t, "node") for t in key.split(",")] if key else [],
+                           _json_int(v, "weight")) for key, v in chi.items()])
 
 
 class SingularityGerm(_Record):
@@ -88,8 +87,8 @@ class SingularityGerm(_Record):
     def _check(self):
         _as_int(self.delta, "delta", 0)
         _as_int(self.mu, "mu")
-        _as_type(self.q_euler, TruncSeries, "q_euler")
-        if self.q_euler.min_exp != 0 or self.q_euler.coeff(0) != 1:
+        q = _as_type(self.q_euler, TruncSeries, "q_euler")
+        if q.min_exp != 0 or q.order < 0 or q.coeff(0) != 1:  # coeff(0) needs order >= 0
             raise InputError("the punctual series must start with constant term 1")
 
     def to_json(self) -> dict:
@@ -97,11 +96,8 @@ class SingularityGerm(_Record):
 
     @classmethod
     def from_json(cls, obj) -> "SingularityGerm":
-        try:
-            return cls(_json_int(obj["delta"], "delta"), _json_int(obj["mu"], "mu"),
-                       TruncSeries.from_json(obj["q_euler"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad singularity-germ JSON: {exc}") from None
+        delta, mu, q_euler = _fields(obj, "singularity-germ", "delta", "mu", "q_euler")
+        return cls(_json_int(delta, "delta"), _json_int(mu, "mu"), TruncSeries.from_json(q_euler))
 
 
 def node_germ(order: int) -> SingularityGerm:

@@ -36,9 +36,9 @@ from operator import neg
 
 from .bps import _basis_peel
 from .errors import AsymmetricInput, InputError
-from .series import (BiSeries, LaurentPoly, TruncSeries, _as_int, _as_type, _int_str, _int_strs,
-                     _json_int, _Record, _times_binom, _unpack, _write_csv, _write_lines,
-                     _within, eta_power)
+from .series import (BiSeries, LaurentPoly, TruncSeries, _as_int, _as_type, _fields, _int_str,
+                     _int_strs, _json_int, _quote, _Record, _times_binom, _unpack, _write_csv,
+                     _write_lines, _within, eta_power)
 
 # (1 - q^n)^-20 (1 - z q^n)^-2 (1 - z^-1 q^n)^-2, the product behind both
 # the pair counts and the genus decomposition; `product_family` expands
@@ -244,12 +244,17 @@ class KkvTable(_Record):
 
     @classmethod
     def from_json(cls, obj) -> "KkvTable":
-        try:
-            rows = {(_json_int(r["g"], "g"), _json_int(r["h"], "h")): _json_int(r["r"])
-                    for r in obj["rows"]}
-            return cls(_json_int(obj["h_max"], "h_max"), rows)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad table JSON: {exc}") from None
+        h_max, rows = _fields(obj, "table", "h_max", "rows")
+        if not isinstance(rows, list):
+            raise InputError(f"bad table JSON: rows must be an array, not {_quote(rows)}")
+        table = {}
+        for row in rows:
+            g, h, r = _fields(row, "table row", "g", "h", "r")
+            gh = _json_int(g, "g"), _json_int(h, "h")
+            if gh in table:
+                raise InputError(f"bad table JSON: (g, h) = {_quote(gh)} is named by two rows")
+            table[gh] = _json_int(r)
+        return cls(_json_int(h_max, "h_max"), table)
 
     def write_csv(self, stream):
         _write_csv(stream, ("g", "h", "r_gh"), self._text_rows())

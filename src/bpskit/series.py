@@ -17,6 +17,7 @@ so a reported coefficient is always exact.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from itertools import accumulate, islice, repeat
 from operator import add, neg, sub
@@ -149,13 +150,27 @@ def _json_int(x, what="coefficient"):
                 return int(x)
             except ValueError:  # past the digit cap
                 return _big_int(x)
+    raise InputError(f"{what} must be an integer or a decimal string, not {_quote(x)}")
+
+
+def _quote(x) -> str:
+    """repr(x), cut to 40 characters, to name a bad input value."""
     try:
         text = repr(x)
     except ValueError:  # a list or dict that holds an int past the digit cap
         text = "a " + type(x).__name__
-    if len(text) > 40:
-        text = text[:37] + "..."
-    raise InputError(f"{what} must be an integer or a decimal string, not {text}")
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _fields(obj, what: str, *names) -> list:
+    """The values of names in the JSON object obj, in order; InputError
+    naming what when obj is not an object or lacks one of them."""
+    if not isinstance(obj, dict):
+        raise InputError(f"bad {what} JSON: expected an object, not {_quote(obj)}")
+    try:
+        return [obj[name] for name in names]
+    except KeyError as exc:  # the first missing name
+        raise InputError(f"bad {what} JSON: {exc}") from None
 
 
 def _json_ints(xs, what="coefficient") -> list:
@@ -164,7 +179,7 @@ def _json_ints(xs, what="coefficient") -> list:
     '-' (bytes.isdigit is ASCII-only), int() accepts exactly the shape
     -?[0-9]+ and rejects the rest."""
     if type(xs) is not list:
-        raise InputError(f"{what}s must be a JSON array")
+        raise InputError(f"the {what} list must be a JSON array")
     kinds = set(map(type, xs))
     if kinds <= {int, str}:
         text = "".join([x for x in xs if type(x) is str] if int in kinds else xs)
@@ -516,7 +531,13 @@ class LaurentPoly:
     def from_json(cls, obj) -> "LaurentPoly":
         if not isinstance(obj, dict) or "terms" not in obj or not isinstance(obj["terms"], dict):
             raise InputError("Laurent polynomial JSON must be an object with a 'terms' map")
-        return cls._raw({_json_int(k, "exponent"): _json_int(v) for k, v in obj["terms"].items()})
+        terms = obj["terms"]
+        out = {_json_int(k, "exponent"): _json_int(v) for k, v in terms.items()}
+        if len(out) != len(terms):  # "1" and "01", or "0" and "-0"
+            e = Counter(map(_json_int, terms)).most_common(1)[0][0]
+            raise InputError(f"bad Laurent polynomial JSON: exponent {_int_str(e)} is named "
+                             "by two keys")
+        return cls._raw(out)
 
 
 class TruncSeries:
@@ -718,15 +739,9 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, obj) -> "TruncSeries":
-        if not isinstance(obj, dict):
-            raise InputError("series JSON must be an object")
-        try:
-            lo = _json_int(obj["min_exp"], "min_exp")
-            order = _json_int(obj["order"], "order")
-            coeffs = _json_ints(obj["coeffs"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad series JSON: {exc}") from None
-        return cls._window(lo, coeffs, order)
+        lo, order, coeffs = _fields(obj, "series", "min_exp", "order", "coeffs")
+        lo, order = _json_int(lo, "min_exp"), _json_int(order, "order")
+        return cls._window(lo, _json_ints(coeffs), order)
 
 
 class BiSeries:
@@ -821,7 +836,7 @@ def involution_check(p: LaurentPoly) -> bool:
 def _expand_product(factors3, order_q: int) -> BiSeries:
     """Expand prod_{n=1..order_q} prod_{(a,e,c)} (1 - c z^a q^n)^e through q**order_q.
 
-    c must be +1 or -1.  The q^h coefficient has z-support within
+    c may be any integer.  The q^h coefficient has z-support within
     [-A*h, A*h] where A = max|a|.
     """
     order_q = _as_int(order_q, "order_q", 0)
@@ -829,9 +844,6 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
         (_as_int(a, "z-exponent"), _as_int(e, "exponent"), _as_int(c, "factor coefficient"))
         for a, e, c in factors3
     ]
-    for _a, _e, c in factors3:
-        if c not in (1, -1):
-            raise InputError("factor coefficient must be +1 or -1")
     amax = max((abs(a) for a, _e, _c in factors3), default=0)
     width = _as_int(2 * amax * order_q + 1, "z-window length", 0)
     center = amax * order_q
@@ -840,8 +852,6 @@ def _expand_product(factors3, order_q: int) -> BiSeries:
     for n in range(1, order_q + 1):
         top = order_q // n
         for a, e, c in factors3:
-            if not e:
-                continue
             base = [0] * (top + 1)  # (1 - c x)^e
             _add_binom_row(base, 0, 1, e, -c)
             # in place, highest q-row first: row h gains c_k * z^(a k) * row (h - n k)

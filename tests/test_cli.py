@@ -165,6 +165,13 @@ class TestCurveVerbs:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(NODE_GERM)))
         assert cli_json(capsys, "curve", "qseries") == {"n": [-1, 1]}
 
+    def test_qseries_window_short_of_q0_is_malformed(self, capsys, monkeypatch):
+        # once exit 3: the check read the constant term off a window that stops below q^0
+        doc = {"delta": 0, "mu": 0, "q_euler": {"min_exp": 0, "order": -1, "coeffs": []}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert cli(capsys, "curve", "qseries") == (
+            2, "", "error: the punctual series must start with constant term 1\n")
+
     def test_stratify(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(NODE_GERM)))
         obj = cli_json(capsys, "curve", "stratify", "--g", "1", "--euler0", "0",

@@ -95,10 +95,104 @@ def test_error_quotes_a_bounded_value(slot):
 
 
 def test_integer_lists_must_be_arrays():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^the coefficient list must be a JSON array$"):
         TruncSeries.from_json({"min_exp": 0, "order": 2, "coeffs": "123"})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^the n entry list must be a JSON array$"):
         BpsVector.from_json({"g": 1, "n": "12"})
+
+
+@pytest.mark.parametrize("reader,doc,message", [
+    (LaurentPoly.from_json, {"terms": {"1": 2, "01": 3}},
+     "bad Laurent polynomial JSON: exponent 1 is named by two keys"),
+    (LaurentPoly.from_json, {"terms": {"0": 2, "-0": 3}},
+     "bad Laurent polynomial JSON: exponent 0 is named by two keys"),
+    (KkvTable.from_json, {"h_max": 0, "rows": [_kkv(r=1)["rows"][0], _kkv(r=5)["rows"][0]]},
+     "bad table JSON: (g, h) = (0, 0) is named by two rows"),
+    (KkvTable.from_json, {"h_max": 1, "rows": [_kkv(g=1, h="1")["rows"][0],
+                                               _kkv(g="01", h=1)["rows"][0]]},
+     "bad table JSON: (g, h) = (1, 1) is named by two rows"),
+], ids=["laurent-01", "laurent-minus-0", "kkv-rows", "kkv-spellings"])
+def test_keys_naming_one_slot_are_malformed(reader, doc, message):
+    # the last value once won; json.loads itself merges byte-identical keys
+    with pytest.raises(InputError) as info:
+        reader(doc)
+    assert str(info.value) == message
+
+
+# -- the one rule for reading a JSON object: series._fields ------------------
+
+# (reader, the name its errors carry, a valid document)
+OBJECTS = {
+    "series": (TruncSeries.from_json, "series", _series()),
+    "bps": (BpsVector.from_json, "BPS vector", {"g": 1, "n": [1, 2]}),
+    "pairs": (PairsSeries.from_json, "pairs-series", {"series": _series(), "g": 1}),
+    "nodal": (NodalCurve.from_json, "nodal-curve", {"g": 1, "r": 1, "chi": {"": 1, "0": 2}}),
+    "germ": (SingularityGerm.from_json, "singularity-germ",
+             {"delta": 1, "mu": 0, "q_euler": _series()}),
+    "kkv": (KkvTable.from_json, "table", _kkv()),
+}
+
+
+def _shape_cases():
+    for slot, (reader, what, doc) in OBJECTS.items():
+        for bad in ([1], "x", 7, None):
+            yield pytest.param(reader, bad, f"bad {what} JSON: expected an object, not {bad!r}",
+                               id=f"{slot}-{json.dumps(bad)}")
+        for name in doc:
+            less = {k: v for k, v in doc.items() if k != name}
+            yield pytest.param(reader, less, f"bad {what} JSON: {name!r}", id=f"{slot}-no-{name}")
+    yield pytest.param(NodalCurve.from_json, {"g": 1, "r": 1, "chi": [1]},
+                       "bad nodal-curve JSON: chi must be an object, not [1]", id="nodal-chi-array")
+    yield pytest.param(KkvTable.from_json, {"h_max": 0, "rows": {"g": 0}},
+                       "bad table JSON: rows must be an array, not {'g': 0}", id="kkv-rows-object")
+    yield pytest.param(KkvTable.from_json, {"h_max": 0, "rows": [[0, 0, 1]]},
+                       "bad table row JSON: expected an object, not [0, 0, 1]", id="kkv-row-array")
+    for name in ("g", "h", "r"):
+        row = {k: v for k, v in _kkv()["rows"][0].items() if k != name}
+        yield pytest.param(KkvTable.from_json, {"h_max": 0, "rows": [row]},
+                           f"bad table row JSON: {name!r}", id=f"kkv-row-no-{name}")
+
+
+@pytest.mark.parametrize("slot", sorted(OBJECTS))
+def test_object_table_documents_are_valid(slot):
+    reader, _what, doc = OBJECTS[slot]
+    value = reader(doc)
+    assert reader(value.to_json()) == value
+
+
+@pytest.mark.parametrize("reader,doc,message", _shape_cases())
+def test_a_document_of_the_wrong_shape_is_named(reader, doc, message):
+    with pytest.raises(InputError) as info:
+        reader(doc)
+    text = str(info.value)
+    assert text == message
+    assert not any(s in text for s in ("indices must be", "has no attribute", "not subscriptable"))
+
+
+def _planted(*args, **kwargs):
+    raise TypeError("planted reader fault")
+
+
+# (reader slot, a decoder that reader calls)
+DECODERS = [("series", "bpskit.series._json_ints"), ("pairs", "bpskit.series._json_ints"),
+            ("germ", "bpskit.series._json_ints"), ("bps", "bpskit.bps._json_ints"),
+            ("nodal", "bpskit.curves._json_int"), ("kkv", "bpskit.k3._json_int")]
+
+
+@pytest.mark.parametrize("slot,decoder", DECODERS, ids=[s for s, _d in DECODERS])
+def test_a_decoder_bug_is_not_malformed_input(monkeypatch, slot, decoder):
+    reader, _what, doc = OBJECTS[slot]
+    monkeypatch.setattr(decoder, _planted)
+    with pytest.raises(TypeError, match="^planted reader fault$"):
+        reader(doc)
+
+
+@pytest.mark.parametrize("slot", sorted(set(OBJECTS) - {"series"}))
+def test_a_check_bug_is_not_malformed_input(monkeypatch, slot):
+    reader, _what, doc = OBJECTS[slot]
+    monkeypatch.setattr(reader.__self__, "_check", _planted)
+    with pytest.raises(TypeError, match="^planted reader fault$"):
+        reader(doc)
 
 
 def test_decimal_strings_and_json_ints_are_read():
@@ -215,3 +309,10 @@ def test_json_numbers_past_the_limit_read_as_their_strings(capsys, monkeypatch, 
 def test_invalid_json_after_a_number_past_the_limit(capsys, monkeypatch):
     code, out, err = _decompose(capsys, monkeypatch, '{"coeffs":[' + "1" * 5000 + ",}")
     assert code == 2 and out == "" and "invalid JSON" in err
+
+
+def test_a_reader_bug_exits_70_with_its_traceback(capsys, monkeypatch):
+    monkeypatch.setattr("bpskit.series._json_ints", _planted)
+    code, out, err = _decompose(capsys, monkeypatch, json.dumps(_series()))
+    assert (code, out) == (70, "")
+    assert "Traceback" in err and err.endswith("TypeError: planted reader fault\n")
