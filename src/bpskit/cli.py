@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 1 a validation or identity failure (the input is
 well-formed but the mathematics rejects it); 2 malformed input; 3 a
-precondition failure such as a window that is too short; 70 an internal
-error (a bug), reported with its traceback; 74 the output could not be
-written (a closed pipe, a missing directory), reported in one line.
+precondition failure such as a window too short, or too long for memory;
+70 an internal error (a bug), reported with its traceback; 74 the output
+could not be written (a closed pipe, a missing directory), in one line.
 
 All JSON output has the bytes of json.dumps(obj, sort_keys=True,
 indent=2), for integers of any size, so identical inputs give
@@ -37,7 +37,7 @@ from .curves import (
 )
 from .errors import InputError, PreconditionError, ValidationError
 from .k3 import _kkv_table, ky_series, signed_conversion_check, yau_zaslow
-from .series import TruncSeries, _int_str, _int_strs, _json_int, _write_csv, eta_power
+from .series import TruncSeries, _int_str, _int_strs, _json_int, _json_text, _write_csv, eta_power
 
 
 def _read_text(path: str) -> str:
@@ -85,41 +85,6 @@ class _Out:
             self.f.flush()  # a closed pipe fails here, inside run()
         else:
             self.f.close()
-
-
-try:  # the C escaper that json.encoder binds, without importing json
-    from _json import encode_basestring_ascii as _esc
-except ImportError:  # a Python built without the _json accelerator
-    from json.encoder import encode_basestring_ascii as _esc
-
-
-def _json_text(obj, pad: str) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) of a tree of dicts with
-    str keys, lists, str, int, bool and None, for ints of any size; pad is
-    the newline and indent of obj's own line."""
-    t = type(obj)
-    if t is str:
-        return _esc(obj)
-    if t is int:
-        return _int_str(obj)
-    if obj is None or t is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    if t is dict:
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        body = [_esc(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(body) + pad + "}"
-    if t is list:
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        try:
-            body = list(map(_esc, obj))  # a list of str, one C call
-        except TypeError:
-            body = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(body) + pad + "]"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _emit_json(obj, out: str):
@@ -488,7 +453,7 @@ def run(argv=None) -> int:
     """Parse argv and execute; returns the exit code instead of raising.
     A command returns 1 when the mathematics rejects its input and nothing
     otherwise, which is exit 0; the three error classes carry exit codes 1,
-    2 and 3 as exit_code, a failed read or write exits 74 and a bug 70.
+    2 and 3 as exit_code, MemoryError 3, a failed read or write 74, a bug 70.
     The interpreter's int <-> str digit cap is left as it is: the library
     reads, writes and names integers of any size under it."""
     try:
@@ -499,6 +464,9 @@ def run(argv=None) -> int:
     except (ValidationError, InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:  # a window under sys.maxsize that the process may not allocate
+        print("error: the window needs more memory than the process may use", file=sys.stderr)
+        return PreconditionError.exit_code
     except OSError as exc:  # the output failed, not bpskit
         return _io_error(exc)
     except Exception:

@@ -2,8 +2,9 @@
 
 Covers curves with any number of nodes (via Euler characteristics of pair
 moduli restricted to the partial normalisations; a nonsingular curve is
-the one with no nodes) and planar singularity germs described by the
-Euler characteristics of their punctual quotient schemes.
+the one with no nodes, and a nodal curve's pairs series is the
+recomposition of its BPS vector) and planar singularity germs described
+by the Euler characteristics of their punctual quotient schemes.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import combinations
 from math import comb
+from operator import neg
 
-from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual
+from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual, bps_recompose
 from .errors import InputError, InsufficientWindow, MilnorMismatch
-from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _fields, _int_str,
-                     _int_strs, _json_int, _quote, _Record, _times_binom, _within, q_negate)
+from .series import (TruncSeries, _as_int, _as_type, _fields, _int_str, _int_strs, _json_int,
+                     _quote, _Record, _times_binom, _within, q_negate)
 
 
 def sym_euler(e: int, k: int) -> int:
@@ -131,8 +133,8 @@ def nonsingular_contribution(g: int, chi: int, order: int) -> tuple[BpsVector, P
     """
     g = _as_int(g, "g", 0)
     _reach_base(order, g)
-    curve = NodalCurve._raw(g, 0, {frozenset(): _as_int(chi, "chi")})
-    return nodal_contribution(curve), nodal_pairs_series(curve, order)
+    v = nodal_contribution(NodalCurve._raw(g, 0, {frozenset(): _as_int(chi, "chi")}))
+    return v, bps_recompose(v, order)
 
 
 def nodal_contribution(curve: NodalCurve) -> BpsVector:
@@ -146,34 +148,14 @@ def nodal_contribution(curve: NodalCurve) -> BpsVector:
     n = [0] * (g + 1)
     for S, v in curve.chi.items():
         n[g - len(S)] += v
-    return BpsVector._raw(g, tuple((-1) ** h * v for h, v in enumerate(n)))
+    n[1::2] = map(neg, n[1::2])
+    return BpsVector._raw(g, tuple(n))
 
 
 def nodal_pairs_series(curve: NodalCurve, order: int) -> PairsSeries:
-    """Pairs series of a nodal curve, built stratum by stratum.
-
-    Each partial normalisation of genus h = g - |S| contributes
-    sum_m (-1)^(m-1) chi_S e(Sym^(m-1+h)) q^m where the symmetric products
-    are those of a space with Euler characteristic e = 2 - 2h.  A subset
-    enters only through |S|, so the weights are first summed into the
-    strata |S| = 0 .. r, and each stratum adds its row once.  As
-    (-1)^k e(Sym^k) = C(-e, k), the row is (-1)^h chi q^(1-h) (1+q)^(2h-2),
-    one binomial row: for h >= 1 it ends at q^(h-1), for h = 0 it runs to
-    the window's end.  That is O(2^r + r * order) work.
-    This is an independent route to the same answer as nodal_contribution
-    followed by recomposition.
-    """
-    g = curve.g
-    width = _reach_base(order, g)
-    strata = [0] * (curve.r + 1)
-    for S, v in curve.chi.items():
-        strata[len(S)] += v
-    acc = [0] * width  # q^(1-g) .. q^order
-    for size, v in enumerate(strata):
-        h = g - size  # the row is (-1)^h v q^(1-h) (1+q)^(2h-2), from acc[size]
-        if v:
-            _add_binom_row(acc, size, -v if h % 2 else v, 2 * h - 2, 1)
-    return PairsSeries._raw(TruncSeries._raw(1 - g, acc, order), g)
+    """Pairs series of a nodal curve: the recomposition of its BPS vector,
+    sum n_h q^(1-h) (1+q)^(2h-2), exact on [1 - g, order]."""
+    return bps_recompose(nodal_contribution(curve), order)
 
 
 def q_series_decompose(germ: SingularityGerm) -> list[int]:

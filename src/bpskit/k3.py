@@ -252,7 +252,8 @@ class KkvTable(_Record):
             g, h, r = _fields(row, "table row", "g", "h", "r")
             gh = _json_int(g, "g"), _json_int(h, "h")
             if gh in table:
-                raise InputError(f"bad table JSON: (g, h) = {_quote(gh)} is named by two rows")
+                raise InputError(f"bad table JSON: (g, h) = ({', '.join(_int_strs(gh))}) is named "
+                                 "by two rows")
             table[gh] = _json_int(r)
         return cls(_json_int(h_max, "h_max"), table)
 

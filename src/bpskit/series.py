@@ -103,6 +103,44 @@ def _int_str(x: int) -> str:
         return _big_str(x)
 
 
+try:  # the C escaper that json.encoder binds, without importing json
+    from _json import encode_basestring_ascii as _esc
+except ImportError:  # a Python built without the _json accelerator
+    from json.encoder import encode_basestring_ascii as _esc
+
+
+def _json_text(obj, pad: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) of any value json.loads
+    returns (dicts with str keys, lists, str, int, float, bool and None),
+    for ints of any size; pad is the newline and indent of obj's line."""
+    t = type(obj)
+    if t is str:
+        return _esc(obj)
+    if t is int:
+        return _int_str(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        body = [_esc(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        try:
+            body = list(map(_esc, obj))  # a list of str, one C call
+        except TypeError:
+            body = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if t is float:  # bpskit writes none, but a bad input value may be one
+        text = repr(obj)
+        return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(text, text)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _int_strs(xs) -> list:
     """[str(x) for x in xs], for ints of any size; xs is a sequence, walked
     twice when it holds a number past the digit cap."""
@@ -154,11 +192,16 @@ def _json_int(x, what="coefficient"):
 
 
 def _quote(x) -> str:
-    """repr(x), cut to 40 characters, to name a bad input value."""
-    try:
-        text = repr(x)
-    except ValueError:  # a list or dict that holds an int past the digit cap
-        text = "a " + type(x).__name__
+    """x as one line of JSON, cut to 40 characters, to name a bad input
+    value; its repr when x is no JSON value or nests too deep to write,
+    and its type when that repr fails."""
+    try:  # an escaped str holds no newline: each one starts an indent
+        text = "".join(map(str.lstrip, _json_text(x, "\n").replace(",\n", ", \n").split("\n")))
+    except (TypeError, RecursionError):
+        try:
+            text = repr(x)
+        except (ValueError, RecursionError):  # a tuple holding an int past the digit cap, say
+            text = "a " + type(x).__name__
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -529,9 +572,10 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPoly":
-        if not isinstance(obj, dict) or "terms" not in obj or not isinstance(obj["terms"], dict):
-            raise InputError("Laurent polynomial JSON must be an object with a 'terms' map")
-        terms = obj["terms"]
+        terms, = _fields(obj, "Laurent polynomial", "terms")
+        if not isinstance(terms, dict):
+            raise InputError("bad Laurent polynomial JSON: terms must be an object, "
+                             f"not {_quote(terms)}")
         out = {_json_int(k, "exponent"): _json_int(v) for k, v in terms.items()}
         if len(out) != len(terms):  # "1" and "01", or "0" and "-0"
             e = Counter(map(_json_int, terms)).most_common(1)[0][0]

@@ -158,8 +158,8 @@ def validate_ggtc_by_peel(Z: PairsSeries) -> GgtcReport:
 
 
 def nodal_pairs_series_by_subset(curve: NodalCurve, order: int) -> PairsSeries:
-    """nodal_pairs_series with one sym_euler row per node subset, the
-    route the genus strata replaced."""
+    """nodal_pairs_series with one sym_euler row per node subset: an
+    oracle that shares no code with the pairs-basis sum."""
     g = curve.g
     if order < 1 - g:
         raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")

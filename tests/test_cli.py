@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -490,11 +491,29 @@ def test_validate_names_a_failing_exponent_past_the_digit_cap(capsys, monkeypatc
 
 
 def test_a_list_past_the_digit_cap_for_an_integer_is_malformed_input(capsys, monkeypatch):
-    # the message names the type: the list's repr would need str() of its entry
+    # the message spells the list as JSON, its entry past the cap too, cut to 40 characters
     monkeypatch.setattr("sys.stdin", io.StringIO('{"min_exp": [%s], "order": 1, "coeffs": []}' % BIG))
     code, out, err = cli(capsys, "bps", "decompose", "--g", "1")
     assert (code, out) == (2, "")
-    assert err == "error: min_exp must be an integer or a decimal string, not a list\n"
+    assert err == f"error: min_exp must be an integer or a decimal string, not [{BIG[:36]}...\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("null", "bad series JSON: expected an object, not null"),
+    ('{"min_exp": true, "order": 1, "coeffs": []}',
+     "min_exp must be an integer or a decimal string, not true"),
+    ('{"min_exp": 0, "order": 1, "coeffs": [1, {"a": null}]}',
+     'coefficient must be an integer or a decimal string, not {"a": null}'),
+    ('{"min_exp": 0, "order": 1, "coeffs": [1, [2.5, "x", Infinity]]}',
+     'coefficient must be an integer or a decimal string, not [2.5, "x", Infinity]'),
+    # deeper than the JSON writer recurses, not than json.loads: quoted by its repr
+    ('{"min_exp": %s, "order": 1, "coeffs": []}' % ("[" * 900 + "]" * 900),
+     "min_exp must be an integer or a decimal string, not " + "[" * 37 + "..."),
+], ids=["null", "true", "object", "array", "deep"])
+def test_a_bad_value_is_named_in_json(capsys, monkeypatch, doc, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = cli(capsys, "bps", "decompose", "--g", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_overlapping_runs_leave_the_digit_cap_alone(monkeypatch):
@@ -554,6 +573,23 @@ def test_windows_past_maxsize_exit_3(capsys, monkeypatch, argv):
     code, out, err = cli(capsys, *argv)
     assert (code, out) == (3, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1 and "sys.maxsize" in err
+
+
+def _cap_address_space():
+    """The preexec_fn of a child that may map 1.5 GB: a 10^10-entry window
+    then fails to allocate at once, and nothing large is touched."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 1_500_000_000 if hard == resource.RLIM_INFINITY else min(hard, 1_500_000_000)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("argv", [("series", "eta", "--order", "10000000000"),
+                                  ("bps", "recompose", "--g", "1", "--n", "1,2",
+                                   "--order", "10000000000")], ids=" ".join)
+def test_a_window_past_memory_exits_3(argv):
+    proc = _bpskit(*argv, capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == "error: the window needs more memory than the process may use\n"
 
 
 class TestProcessExit:

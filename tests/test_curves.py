@@ -1,5 +1,6 @@
-"""Local contributions: nonsingular curves, nodal curves (two independent
-routes), singularity germs and stratified series."""
+"""Local contributions: nonsingular curves, nodal curves (the vector, and
+the series the peel reads it back from), singularity germs and stratified
+series."""
 
 import time
 from math import comb
@@ -88,8 +89,8 @@ class TestNonsingular:
     @example((30, -29), -10 ** 40 + 1)
     @example((29, 44), 10 ** 40 - 1)
     def test_series_agrees_with_recomposition(self, g_order, chi):
-        # the no-node nodal route against the vector written out and the
-        # pairs-basis sum of bps_recompose, an independent route
+        # the no-node nodal route against the vector written out, and its
+        # series against the pairs-basis sum of that vector
         g, order = g_order
         v, Z = nonsingular_contribution(g, chi, order)
         want = BpsVector(g, (0,) * g + ((-1) ** g * chi,))

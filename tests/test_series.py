@@ -309,7 +309,7 @@ ERROR_BRANCHES = {
         "requested order -3 lies below the inverse's leading exponent -2"),
     "LaurentPoly.from_json list": (
         lambda: LaurentPoly.from_json([]), InputError,
-        "Laurent polynomial JSON must be an object with a 'terms' map"),
+        "bad Laurent polynomial JSON: expected an object, not []"),
     "series_arith div": (
         lambda: series_arith(TruncSeries(0, [1]), TruncSeries(0, [1]), "div"), InputError,
         "op must be 'add' or 'mul', not 'div'"),
