@@ -38,7 +38,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import neg, sub
 
-from .errors import InputError, InsufficientWindow, NotBpsForm
+from .errors import InputError, NotBpsForm
 from .series import (TruncSeries, _add_binom_row, _as_int, _as_type, _fields, _int_str,
                      _json_int, _json_ints, _Record, _times_binom, _within)
 
@@ -148,14 +148,6 @@ def _reject_residual(first, basis: str) -> None:
                          f"by the {basis} basis", exponent=e, coefficient=c)
 
 
-def _reach_base(order: int, g: int) -> int:
-    """The length order + g of the window [1 - g, order]; InsufficientWindow
-    when order lies below the base exponent 1 - g."""
-    if _as_int(order, "order") < 1 - g:
-        raise InsufficientWindow(f"order {_int_str(order)} is below the base exponent {1 - g}")
-    return _as_int(order + g, "window length", 0)
-
-
 def pairs_basis_element(r: int, order: int) -> TruncSeries:
     """B_r = q^(1-r) (1+q)^(2r-2) truncated to `order`; B_0 = q (1+q)^-2."""
     return _basis_sum((0,) * _as_int(r, "r", 0) + (1,), order, *_PAIRS)
@@ -163,16 +155,8 @@ def pairs_basis_element(r: int, order: int) -> TruncSeries:
 
 def bps_recompose(v: BpsVector, order: int) -> PairsSeries:
     """Sum n_r * B_r, exact on the window [1 - g, order]."""
-    _reach_base(order, v.g)
+    _within(1 - v.g, _as_int(order, "order"), f"a genus-{v.g} pairs series")
     return PairsSeries._raw(_basis_sum(v.n, order, *_PAIRS), v.g)
-
-
-def _need_q1(series: TruncSeries, g: int) -> None:
-    if series.order < 1:
-        raise InsufficientWindow(
-            f"decomposition to genus {g} needs the window to reach q^1 "
-            f"(order is {_int_str(series.order)}); {g + 1} leading coefficients are required"
-        )
 
 
 def bps_decompose(Z: PairsSeries) -> BpsVector:
@@ -181,7 +165,7 @@ def bps_decompose(Z: PairsSeries) -> BpsVector:
     Raises NotBpsForm if any residual coefficient survives the peel, and
     InsufficientWindow if the window stops short of q^1.
     """
-    _need_q1(Z.series, Z.g)
+    _within(1, Z.series.order, f"genus-{Z.g} decomposition")
     n, first = _basis_peel(Z.series, Z.g, *_PAIRS)
     _reject_residual(first, f"genus-{Z.g}")
     return BpsVector._raw(Z.g, tuple(n))
@@ -262,7 +246,7 @@ def validate_ggtc(Z: PairsSeries) -> GgtcReport:
     InsufficientWindow.
     """
     s, g = Z.series, Z.g
-    _need_q1(s, g)
+    _within(1, s.order, f"genus-{g} validation")
     lo, order = s.min_exp, s.order
     top = min(g - 1, order)  # identity_gg runs over 0 < n <= top
     if lo > max(g, 1):  # nothing at or below q^g: N = 0, and identity_g0 fails at q^lo

@@ -30,7 +30,6 @@ from .curves import (
     NodalCurve,
     SingularityGerm,
     nodal_contribution,
-    nodal_pairs_series,
     nonsingular_contribution,
     q_series_decompose,
     stratify_pairs_series,
@@ -60,6 +59,8 @@ def _read_json(path: str):
         return json.loads(text, parse_int=_json_int)  # numbers of any length
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"invalid JSON in {path}: nested too deep") from None
 
 
 def _stdout():
@@ -176,7 +177,7 @@ def _cmd_curve_nodal(args):
     v = nodal_contribution(curve)
     out = {"vector": v.to_json()}
     if args.order is not None:
-        out["series"] = nodal_pairs_series(curve, args.order).series.to_json()
+        out["series"] = bps_recompose(v, args.order).series.to_json()
     _emit_json(out, args.out)
 
 
@@ -240,32 +241,34 @@ def _integer(text: str) -> int:
 
 
 _REQUIRED = object()  # the default of a flag that must be given
-_IO = {"--in": (str, "-"), "--out": (str, "-")}
-_FMT = {**_IO, "--format": (("json", "csv"), "json")}
+_OUT = {"--out": (str, "-")}
+_IO = {"--in": (str, "-"), **_OUT}  # the verbs that read a JSON document
+_FMT = {**_OUT, "--format": (("json", "csv"), "json")}
 
 # (group, verb) -> (command, {flag: (type, default)}).  The type is
 # _integer, str or a tuple of choices.  Every flag takes one value, kept
 # under its name without the dashes (--in under infile).
 _VERBS = {
     ("bps", "recompose"): (_cmd_bps_recompose, {
-        "--g": (_integer, _REQUIRED), "--n": (str, _REQUIRED), "--order": (_integer, None), **_IO}),
+        "--g": (_integer, _REQUIRED), "--n": (str, _REQUIRED), "--order": (_integer, None),
+        **_OUT}),
     ("bps", "decompose"): (_cmd_bps_decompose, {"--g": (_integer, None), **_IO}),
     ("bps", "validate"): (_cmd_bps_validate, {"--g": (_integer, None), **_IO}),
     ("hilb", "decompose"): (_cmd_hilb_decompose, {"--g": (_integer, _REQUIRED), **_IO}),
     ("curve", "nonsingular"): (_cmd_curve_nonsingular, {
         "--g": (_integer, _REQUIRED), "--chi": (_integer, _REQUIRED),
-        "--order": (_integer, None), **_IO}),
+        "--order": (_integer, None), **_OUT}),
     ("curve", "nodal"): (_cmd_curve_nodal, {"--order": (_integer, None), **_IO}),
     ("curve", "qseries"): (_cmd_curve_qseries, _IO),
     ("curve", "stratify"): (_cmd_curve_stratify, {
         "--g": (_integer, _REQUIRED), "--euler0": (_integer, _REQUIRED),
         "--order": (_integer, None), **_IO}),
     ("k3", "ky"): (_cmd_k3_ky, {
-        "--hmax": (_integer, _REQUIRED), "--yorder": (_integer, _REQUIRED), **_IO}),
+        "--hmax": (_integer, _REQUIRED), "--yorder": (_integer, _REQUIRED), **_OUT}),
     ("k3", "kkv"): (_cmd_k3_kkv, {"--hmax": (_integer, _REQUIRED), **_FMT}),
     ("k3", "yz"): (_cmd_k3_yz, {"--hmax": (_integer, _REQUIRED), **_FMT}),
     ("k3", "signed-check"): (_cmd_k3_signed_check, {
-        "--hmax": (_integer, _REQUIRED), "--yorder": (_integer, _REQUIRED), **_IO}),
+        "--hmax": (_integer, _REQUIRED), "--yorder": (_integer, _REQUIRED), **_OUT}),
     ("series", "eta"): (_cmd_series_eta, {
         "--order": (_integer, _REQUIRED), "--exponent": (_integer, -24), **_FMT}),
 }

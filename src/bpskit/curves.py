@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb
 from operator import neg
 
-from .bps import BpsVector, PairsSeries, _basis_peel, _reach_base, _reject_residual, bps_recompose
-from .errors import InputError, InsufficientWindow, MilnorMismatch
+from .bps import BpsVector, PairsSeries, _basis_peel, _reject_residual, bps_recompose
+from .errors import InputError, MilnorMismatch
 from .series import (TruncSeries, _as_int, _as_type, _fields, _int_str, _int_strs, _json_int,
                      _quote, _Record, _times_binom, _within, q_negate)
 
@@ -132,7 +132,8 @@ def nonsingular_contribution(g: int, chi: int, order: int) -> tuple[BpsVector, P
     n_g = (-1)^g chi, with pairs series (-1)^g chi q^(1-g) (1+q)^(2g-2).
     """
     g = _as_int(g, "g", 0)
-    _reach_base(order, g)
+    _within(1 - g, _as_int(order, "order"), f"a genus-{g} pairs series")
+    _as_int(order + g, "window length", 0)
     v = nodal_contribution(NodalCurve._raw(g, 0, {frozenset(): _as_int(chi, "chi")}))
     return v, bps_recompose(v, order)
 
@@ -189,13 +190,10 @@ def stratify_pairs_series(germ: SingularityGerm, e_smooth: int, g: int,
             f"mu = {_int_str(germ.mu)} but genus {g} with smooth-locus Euler characteristic "
             f"{_int_str(e_smooth)} forces mu = {_int_str(expected)}"
         )
-    width = _reach_base(order, g)
+    _within(1 - g, _as_int(order, "order"), f"a genus-{g} pairs series")
+    width = _as_int(order + g, "window length", 0)
     signed = q_negate(germ.q_euler)
-    if signed.order + (1 - g) < order:
-        raise InsufficientWindow(
-            f"pairs series to q^{_int_str(order)} needs the punctual series exact through "
-            f"q^{_int_str(order + g - 1)}; window stops at q^{_int_str(signed.order)}"
-        )
+    _within(order + g - 1, signed.order, "the punctual series")
     out = _times_binom(signed._span(0, width - 1), -e_smooth, 1)
     return PairsSeries._raw(TruncSeries._raw(1 - g, out, order), g)
 

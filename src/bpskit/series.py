@@ -748,7 +748,8 @@ class TruncSeries:
 
         Needs a lowest nonzero coefficient of +1 or -1.  With valuation v,
         an input exact to q**o certifies the inverse only through
-        q**(o - 2v); asking beyond that raises InsufficientWindow.
+        q**(o - 2v); asking beyond that, or below q**-v, raises
+        InsufficientWindow.
         """
         order = _as_int(order, "order")
         if not self._coeffs:
@@ -758,14 +759,8 @@ class TruncSeries:
             raise NonUnitLeading(f"leading coefficient must be +1 or -1 to invert exactly, "
                                  f"got {_int_str(lead)}")
         v = self._min
-        provable = self._order - 2 * v
-        if order > provable:
-            raise InsufficientWindow(f"inverse is certified only through q^{_int_str(provable)}; "
-                                     f"q^{_int_str(order)} needs the input exact through "
-                                     f"q^{_int_str(order + 2 * v)}")
-        if order < -v:
-            raise InsufficientWindow(f"requested order {_int_str(order)} lies below the "
-                                     f"inverse's leading exponent {_int_str(-v)}")
+        _within(order + 2 * v, self._order, "the inverse")
+        _within(-v, order, "the inverse")
         out = kernels.inverse_unit(self._coeffs, order + v + 1)
         return TruncSeries._raw(-v, out, order)
 

@@ -5,15 +5,14 @@ from itertools import product
 import hypothesis.strategies as st
 from bpskit import (
     GgtcReport,
-    InsufficientWindow,
     NodalCurve,
     PairsSeries,
     TruncSeries,
     binom_pow,
     sym_euler,
 )
-from bpskit.bps import IdentityCheck, _need_q1
-from bpskit.series import _add_binom_row
+from bpskit.bps import IdentityCheck
+from bpskit.series import _add_binom_row, _within
 
 
 def naive_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -124,7 +123,7 @@ def validate_ggtc_by_peel(Z: PairsSeries) -> GgtcReport:
     """validate_ggtc with N read off the full triangular peel, the route
     the closed form N = P_1 - P_(-1) replaced."""
     s, g = Z.series, Z.g
-    _need_q1(s, g)
+    _within(1, s.order, f"genus-{g} validation")
     N = basis_peel_by_rows(s, g, 1, 1, -2)[0][0]
 
     fail_0 = None
@@ -161,8 +160,7 @@ def nodal_pairs_series_by_subset(curve: NodalCurve, order: int) -> PairsSeries:
     """nodal_pairs_series with one sym_euler row per node subset: an
     oracle that shares no code with the pairs-basis sum."""
     g = curve.g
-    if order < 1 - g:
-        raise InsufficientWindow(f"order {order} is below the base exponent {1 - g}")
+    _within(1 - g, order, f"a genus-{g} pairs series")
     lo = 1 - g
     acc = [0] * (order - lo + 1)
     for S, v in curve.chi.items():

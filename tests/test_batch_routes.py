@@ -101,13 +101,14 @@ def sweep() -> list:
 def test_sweep_digest():
     # the digest of the replaced routes (the peel-based validate_ggtc, the
     # per-subset nodal loop, the schoolbook (1+q)^E product), except that a
-    # stratify window below q^(1-g) raises InsufficientWindow; re-record it
-    # only after diffing the sweep() JSON of both sides
+    # stratify window below q^(1-g) raises InsufficientWindow, and every
+    # InsufficientWindow is worded by series._within; re-record it only
+    # after diffing the sweep() JSON of both sides
     text = json.dumps(sweep(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
 
 
-SWEEP_SHA256 = "26c38f954833233fe99d2bb02365e4c64dd3f377a6f5e0f650200b76166d53d9"
+SWEEP_SHA256 = "f645fb8dfb3f45f40d0db58a503a1ecec9b329c4f49b45ee45f6b15d650ee441"
 
 
 def _same_outcome(new, old, *args):

@@ -207,7 +207,7 @@ class TestCurveVerbs:
         code, out, err = cli(capsys, "curve", "stratify", "--g", "2", "--euler0", "-2",
                              "--order", "-2")
         assert (code, out) == (3, "")
-        assert "order -2 is below the base exponent -1" in err
+        assert err == "error: a genus-2 pairs series needs the window to reach q^-1 (order is -2)\n"
 
 
 class TestK3Verbs:
@@ -266,6 +266,19 @@ class TestExitCodes:
         monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
         code, _, err = cli(capsys, "bps", "decompose")
         assert code == 2 and "invalid JSON" in err
+
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    def test_deeply_nested_json_is_input_error(self, capsys, monkeypatch, tmp_path, source):
+        doc = "[" * 100000 + "]" * 100000
+        path = "-"
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        else:
+            path = str(tmp_path / "deep.json")
+            (tmp_path / "deep.json").write_text(doc)
+        code, out, err = cli(capsys, "bps", "decompose", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid JSON in {path}: nested too deep\n"
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, _ = cli(capsys, "bps", "decompose", "--in", str(tmp_path / "no.json"))
@@ -644,6 +657,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coeffs"] == ["1", "24", "324", "3200"]
+
+
+# the verbs that read no JSON document, with the flags each requires
+NO_INPUT_VERBS = [
+    ("bps", "recompose", "--g", "1", "--n", "1,2"),
+    ("curve", "nonsingular", "--g", "1", "--chi", "1"),
+    ("k3", "ky", "--hmax", "1", "--yorder", "2"),
+    ("k3", "kkv", "--hmax", "1"),
+    ("k3", "yz", "--hmax", "1"),
+    ("k3", "signed-check", "--hmax", "1", "--yorder", "1"),
+    ("series", "eta", "--order", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", NO_INPUT_VERBS, ids=lambda argv: " ".join(argv[:2]))
+def test_a_verb_that_reads_nothing_takes_no_in_flag(capsys, argv):
+    assert cli(capsys, *argv)[0] == 0
+    code, out, err = cli(capsys, *argv, "--in", "missing.json")
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: bpskit {argv[0]} {argv[1]} ") and "--in" not in usage
+    assert error == f"bpskit {argv[0]} {argv[1]}: error: unrecognized arguments: --in missing.json"
 
 
 # every integer flag of every verb, with the other flags the verb requires

@@ -75,10 +75,10 @@ def test_pairs_results_rebuild(case, perturb, data):
     Z = bps_recompose(v, order)
     assert_rebuilds(Z)
     assert_rebuilds(bps_decompose(Z))
-    if perturb:  # a report with failed identities
-        cs = Z.series.coeff_list()
+    if perturb:  # a report with failed identities, also when Z is zero
+        cs = Z.series._span(1 - v.g, order)
         cs[data.draw(st.integers(0, len(cs) - 1))] += data.draw(entry.filter(bool))
-        Z = PairsSeries(TruncSeries(Z.series.min_exp, cs, order), v.g)
+        Z = PairsSeries(TruncSeries(1 - v.g, cs, order), v.g)
     assert_rebuilds(validate_ggtc(Z))
 
 

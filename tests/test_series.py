@@ -8,24 +8,32 @@ import hypothesis.strategies as st
 
 from bpskit import (
     BiSeries,
+    BpsVector,
     EmptyWindow,
     InputError,
     InsufficientWindow,
     LaurentPoly,
     NonUnitLeading,
+    PairsSeries,
     SingularityGerm,
     TruncSeries,
     binom_pow,
+    bps_decompose,
+    bps_recompose,
     eta_power,
     hilbert_decompose,
     involution_check,
     ky_series,
     lp_arith,
+    node_germ,
+    nonsingular_contribution,
     product_family,
     q_negate,
     q_series_decompose,
     series_arith,
     series_inverse,
+    stratify_pairs_series,
+    validate_ggtc,
 )
 from bpskit.series import _add_binom_row, _expand_product, _pack, _unpack
 from conftest import eta_power_sigma, laurent_terms, naive_mul, trunc_series, unit_series
@@ -304,9 +312,6 @@ class TestValueTypes:
 
 # public error branches: (call, exception class, the whole message)
 ERROR_BRANCHES = {
-    "inverse below the leading exponent": (
-        lambda: TruncSeries(2, [1, 0, 0, 0, 0], 6).inverse(-3), InsufficientWindow,
-        "requested order -3 lies below the inverse's leading exponent -2"),
     "LaurentPoly.from_json list": (
         lambda: LaurentPoly.from_json([]), InputError,
         "bad Laurent polynomial JSON: expected an object, not []"),
@@ -346,6 +351,23 @@ WINDOW_MESSAGES = {
     "q_series_decompose": (lambda: q_series_decompose(SingularityGerm(2, 0, TruncSeries(0, [1]))),
                            "delta = 2 punctual decomposition needs the window to reach q^3 "
                            "(order is 0)"),
+    "bps_decompose": (lambda: bps_decompose(PairsSeries(TruncSeries(-1, [1, 2]), 2)),
+                      "genus-2 decomposition needs the window to reach q^1 (order is 0)"),
+    "validate_ggtc": (lambda: validate_ggtc(PairsSeries(TruncSeries(-1, [1, 2]), 2)),
+                      "genus-2 validation needs the window to reach q^1 (order is 0)"),
+    "bps_recompose": (lambda: bps_recompose(BpsVector(2, (1, 2, 3)), -2),
+                      "a genus-2 pairs series needs the window to reach q^-1 (order is -2)"),
+    "nonsingular_contribution": (lambda: nonsingular_contribution(3, 1, -3),
+                                 "a genus-3 pairs series needs the window to reach q^-2 "
+                                 "(order is -3)"),
+    "stratify base": (lambda: stratify_pairs_series(node_germ(8), -2, 2, -2),
+                      "a genus-2 pairs series needs the window to reach q^-1 (order is -2)"),
+    "stratify punctual": (lambda: stratify_pairs_series(node_germ(2), -2, 2, 4),
+                          "the punctual series needs the window to reach q^5 (order is 2)"),
+    "inverse above": (lambda: TruncSeries(2, [1, 0, 0, 0, 0], 6).inverse(3),
+                      "the inverse needs the window to reach q^7 (order is 6)"),
+    "inverse below": (lambda: TruncSeries(2, [1, 0, 0, 0, 0], 6).inverse(-3),
+                      "the inverse needs the window to reach q^-2 (order is -3)"),
 }
 
 
